@@ -79,7 +79,7 @@ def _limits_from(args) -> SearchLimits:
 
 
 def _config_from(args) -> SolverConfig:
-    return SolverConfig(time_budget=args.time_budget, seed=args.seed)
+    return SolverConfig(time_budget=args.time_budget)
 
 
 def _run_record(instance: str, outcome: FindOutcome) -> dict:
@@ -250,7 +250,6 @@ def _add_common_solver_flags(sub) -> None:
         "--objective", choices=("none", "makespan", "costs"), default="none"
     )
     sub.add_argument("--time-budget", type=float, default=300.0, help="seconds")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--geometric-n", action="store_true", help="probe 1,2,4,... (minimality not guaranteed)")
     sub.add_argument(
         "--strict-io",

@@ -1,15 +1,21 @@
 """Allen interval algebra over discrete time, temporally qualified assertions,
-and model checking of interval-logic sentences against finite histories.
+and checking of assertions against finite truth histories.
 
 Time points are non-negative integers; every interval is half-open and
 non-singular, so ``[l, r)`` always satisfies ``l < r``.
+
+This is the one definition of the interval semantics in the package: the
+validator reads each fluent as its maximal constant-truth segments and
+states every window, frame and interference rule as a relation between
+those segments and action intervals (see ``validator`` for the boundary
+context that extends a fluent one tick before 0 and one tick past the end).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 
 class AllenRelation(enum.Enum):
@@ -56,10 +62,6 @@ class CompositeRelation(enum.Enum):
 
 class HistoryTooShortError(ValueError):
     """An assertion's interval extends past the history's declared prefix."""
-
-
-class UnboundIntervalError(KeyError):
-    """A sentence mentions an interval name with no binding."""
 
 
 @dataclass(frozen=True, order=True)
@@ -212,60 +214,3 @@ def check_tqa(h: History, tqa: Tqa) -> bool:
     row = h._truth[tqa.atom]
     want = tqa.polarity
     return all(row[t] == want for t in range(iv.left, iv.right))
-
-
-@dataclass(frozen=True)
-class AtomAt:
-    """Leaf asserting an atom's truth over a named interval."""
-
-    atom: str
-    polarity: bool
-    interval_name: str
-
-
-@dataclass(frozen=True)
-class RelAtom:
-    """Leaf asserting a temporal relation between two named intervals."""
-
-    relation: Union[AllenRelation, CompositeRelation]
-    x_name: str
-    y_name: str
-
-
-@dataclass(frozen=True)
-class Conj:
-    parts: tuple["Sentence", ...]
-
-
-@dataclass(frozen=True)
-class Disj:
-    parts: tuple["Sentence", ...]
-
-
-Sentence = Union[AtomAt, RelAtom, Conj, Disj]
-
-
-def check_sentence(
-    h: History, bindings: Mapping[str, Interval], sentence: Sentence
-) -> bool:
-    """Recursively evaluate a conjunction/disjunction tree of TQAs and
-    relation atoms under the given interval bindings."""
-
-    def lookup(name: str) -> Interval:
-        try:
-            return bindings[name]
-        except KeyError:
-            raise UnboundIntervalError(f"unbound interval name: {name!r}") from None
-
-    if isinstance(sentence, AtomAt):
-        return check_tqa(h, Tqa(sentence.atom, sentence.polarity, lookup(sentence.interval_name)))
-    if isinstance(sentence, RelAtom):
-        x, y = lookup(sentence.x_name), lookup(sentence.y_name)
-        if isinstance(sentence.relation, CompositeRelation):
-            return holds_composite(sentence.relation, x, y)
-        return allen_relation(x, y) is sentence.relation
-    if isinstance(sentence, Conj):
-        return all(check_sentence(h, bindings, part) for part in sentence.parts)
-    if isinstance(sentence, Disj):
-        return any(check_sentence(h, bindings, part) for part in sentence.parts)
-    raise TypeError(f"not a sentence node: {sentence!r}")

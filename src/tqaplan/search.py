@@ -7,7 +7,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .domain import Domain
 from .encoder import cost_scale, encode
@@ -88,9 +88,7 @@ def decode(shape: TheoryShape, assignment: Assignment) -> tuple[Plan, TimingDiag
     n = shape.n_stages
     boundaries = tuple(assignment.ints[shape.boundary_id[t]] for t in range(n + 1))
     fluent_entries: dict[FluentTqaKey, tuple[bool, int, int]] = {}
-    segments: dict[str, tuple[Segment, ...]] = {}
     for fluent in shape.fluent_names:
-        raw: list[Segment] = []
         for t in range(1, n + 1):
             tags = [
                 (v, w)
@@ -106,40 +104,40 @@ def decode(shape: TheoryShape, assignment: Assignment) -> tuple[Plan, TimingDiag
             left, right = boundaries[t - 1], boundaries[t]
             if v == w:
                 fluent_entries[FluentTqaKey(fluent, t, 1)] = (bool(w), left, right)
-                raw.append(Segment(bool(w), Interval(left, right)))
             else:
                 split = assignment.ints[shape.split_id[(fluent, t)]]
                 fluent_entries[FluentTqaKey(fluent, t, 0)] = (bool(v), left, split)
                 fluent_entries[FluentTqaKey(fluent, t, 1)] = (bool(w), split, right)
-                raw.append(Segment(bool(v), Interval(left, split)))
-                raw.append(Segment(bool(w), Interval(split, right)))
-        segments[fluent] = _merge_segments(raw)
 
     action_entries: dict[ActionKey, tuple[int, int]] = {}
-    diagram_actions = []
     for ai, ref in enumerate(shape.actions):
         for k in shape.copies():
-            if not assignment.bools[shape.use_id[(ai, k)]]:
-                continue
-            start = assignment.ints[shape.start_id[(ai, k)]]
-            end = assignment.ints[shape.end_id[(ai, k)]]
-            key = ActionKey(ref.name, ref.actor, k)
-            action_entries[key] = (start, end)
-            diagram_actions.append((key, Interval(start, end)))
+            if assignment.bools[shape.use_id[(ai, k)]]:
+                action_entries[ActionKey(ref.name, ref.actor, k)] = (
+                    assignment.ints[shape.start_id[(ai, k)]],
+                    assignment.ints[shape.end_id[(ai, k)]],
+                )
 
     plan = Plan(fluent_entries, action_entries, boundaries, n)
-    diagram = TimingDiagram(segments, tuple(diagram_actions), boundaries)
-    return plan, diagram
+    return plan, diagram_from_plan(plan)
 
 
-def _merge_segments(raw: list[Segment]) -> tuple[Segment, ...]:
+def merge_segments(pieces: Iterable[Segment]) -> tuple[Segment, ...]:
+    """Sort pieces by time and merge same-truth pieces that meet or overlap.
+
+    Pieces apart by a gap, and overlapping pieces of opposite truth, are
+    kept apart, so a gap or a conflict in the input stays visible."""
     merged: list[Segment] = []
-    for seg in raw:
-        if merged and merged[-1].truth == seg.truth:
+    for seg in sorted(pieces, key=lambda s: s.interval):
+        if merged:
             prev = merged[-1]
-            merged[-1] = Segment(prev.truth, Interval(prev.interval.left, seg.interval.right))
-        else:
-            merged.append(seg)
+            if prev.truth == seg.truth and seg.interval.left <= prev.interval.right:
+                if seg.interval.right > prev.interval.right:
+                    merged[-1] = Segment(
+                        prev.truth, Interval(prev.interval.left, seg.interval.right)
+                    )
+                continue
+        merged.append(seg)
     return tuple(merged)
 
 
@@ -246,10 +244,7 @@ def find_plan(
 
 def plan_to_document(plan: Plan) -> str:
     """Serialize boundaries, maximal fluent segments, and action entries."""
-    segments: dict[str, list[Segment]] = {}
-    for key in sorted(plan.fluent_entries, key=lambda k: (k.fluent, k.stage, k.part)):
-        truth, left, right = plan.fluent_entries[key]
-        segments.setdefault(key.fluent, []).append(Segment(truth, Interval(left, right)))
+    diagram = diagram_from_plan(plan)
     doc = {
         "n": plan.n_used,
         "boundaries": list(plan.boundaries),
@@ -257,30 +252,42 @@ def plan_to_document(plan: Plan) -> str:
         "fluents": {
             fluent: [
                 {"truth": seg.truth, "start": seg.interval.left, "end": seg.interval.right}
-                for seg in _merge_segments(segs)
+                for seg in segs
             ]
-            for fluent, segs in sorted(segments.items())
+            for fluent, segs in diagram.fluents.items()
         },
         "actions": [
             {
                 "name": key.name,
                 "actor": key.actor,
                 "copy": key.copy,
-                "start": start,
-                "end": end,
+                "start": interval.left,
+                "end": interval.right,
             }
-            for key, (start, end) in sorted(
-                plan.action_entries.items(), key=lambda kv: (kv[0].name, kv[0].actor, kv[0].copy)
-            )
+            for key, interval in diagram.actions
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, and JSON true must not pass for 1
+    if type(value) is not int:
+        raise PlanFormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _field(entry, name: str, what: str):
+    if not isinstance(entry, dict) or name not in entry:
+        raise PlanFormatError(f"{what} needs key {name!r}: {entry!r}")
+    return entry[name]
+
+
 def plan_from_document(text: str) -> Plan:
     """Rebuild per-stage TQA entries by slicing segments at the stage
     boundaries; a fluent changing twice inside one stage has no TQA form and
-    is rejected."""
+    is rejected.  Times, counts, actors and copies must be JSON integers and
+    truths JSON booleans; nothing is coerced."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -290,33 +297,45 @@ def plan_from_document(text: str) -> Plan:
     unknown = set(doc) - {"n", "boundaries", "objective", "fluents", "actions"}
     if unknown:
         raise PlanFormatError(f"unknown keys: {sorted(unknown)}")
-    try:
-        n = int(doc["n"])
-        boundaries = tuple(int(b) for b in doc["boundaries"])
-    except (KeyError, TypeError, ValueError):
-        raise PlanFormatError("need integer 'n' and integer list 'boundaries'") from None
-    if len(boundaries) != n + 1 or any(
+    n = _integer(_field(doc, "n", "a plan"), "'n'")
+    raw_boundaries = _field(doc, "boundaries", "a plan")
+    if not isinstance(raw_boundaries, list):
+        raise PlanFormatError("'boundaries' must be a list of integers")
+    boundaries = tuple(_integer(b, "a boundary") for b in raw_boundaries)
+    if n < 1 or len(boundaries) != n + 1 or any(
         boundaries[i] >= boundaries[i + 1] for i in range(n)
     ):
-        raise PlanFormatError("boundaries must be strictly increasing with n+1 entries")
+        raise PlanFormatError(
+            "boundaries must be strictly increasing with n+1 entries, n at least 1"
+        )
     if boundaries[0] != 0:
         raise PlanFormatError("the dateline starts at time 0")
 
     objective = doc.get("objective")
-    objective = Fraction(objective) if objective is not None else None
+    if objective is not None:
+        if not isinstance(objective, str):
+            raise PlanFormatError(f"'objective' must be null or a string, got {objective!r}")
+        try:
+            objective = Fraction(objective)
+        except (ValueError, ZeroDivisionError):
+            raise PlanFormatError(f"'objective' is not a rational: {objective!r}") from None
 
     fluent_entries: dict[FluentTqaKey, tuple[bool, int, int]] = {}
     fluents = doc.get("fluents", {})
     if not isinstance(fluents, dict):
         raise PlanFormatError("'fluents' must map names to segment lists")
     for fluent, segs in fluents.items():
+        if not isinstance(segs, list):
+            raise PlanFormatError(f"segments of {fluent!r} must be a list")
         edges: list[tuple[int, int, bool]] = []
         cursor = 0
         for seg in segs:
-            try:
-                left, right, truth = int(seg["start"]), int(seg["end"]), bool(seg["truth"])
-            except (KeyError, TypeError, ValueError):
-                raise PlanFormatError(f"bad segment for {fluent!r}: {seg!r}") from None
+            what = f"a segment of {fluent!r}"
+            left = _integer(_field(seg, "start", what), "'start'")
+            right = _integer(_field(seg, "end", what), "'end'")
+            truth = _field(seg, "truth", what)
+            if not isinstance(truth, bool):
+                raise PlanFormatError(f"'truth' must be a JSON boolean, got {truth!r}")
             if left != cursor or right <= left:
                 raise PlanFormatError(f"segments of {fluent!r} must tile [0, end) in order")
             edges.append((left, right, truth))
@@ -340,13 +359,21 @@ def plan_from_document(text: str) -> Plan:
                     f"fluent {fluent!r} changes more than once inside stage {t}"
                 )
 
+    actions = doc.get("actions", [])
+    if not isinstance(actions, list):
+        raise PlanFormatError("'actions' must be a list of action entries")
     action_entries: dict[ActionKey, tuple[int, int]] = {}
-    for entry in doc.get("actions", []):
-        try:
-            key = ActionKey(str(entry["name"]), int(entry["actor"]), int(entry["copy"]))
-            start, end = int(entry["start"]), int(entry["end"])
-        except (KeyError, TypeError, ValueError):
-            raise PlanFormatError(f"bad action entry: {entry!r}") from None
+    for entry in actions:
+        name = _field(entry, "name", "an action entry")
+        if not isinstance(name, str):
+            raise PlanFormatError(f"action 'name' must be a string, got {name!r}")
+        key = ActionKey(
+            name,
+            _integer(_field(entry, "actor", "an action entry"), "'actor'"),
+            _integer(_field(entry, "copy", "an action entry"), "'copy'"),
+        )
+        start = _integer(_field(entry, "start", "an action entry"), "'start'")
+        end = _integer(_field(entry, "end", "an action entry"), "'end'")
         if key in action_entries:
             raise PlanFormatError(f"duplicate action entry {key.label()}")
         action_entries[key] = (start, end)
@@ -355,11 +382,11 @@ def plan_from_document(text: str) -> Plan:
 
 
 def diagram_from_plan(plan: Plan) -> TimingDiagram:
-    """Re-derive maximal segments from the plan's per-stage entries."""
-    segments: dict[str, list[Segment]] = {}
-    for key in sorted(plan.fluent_entries, key=lambda k: (k.fluent, k.stage, k.part)):
-        truth, left, right = plan.fluent_entries[key]
-        segments.setdefault(key.fluent, []).append(Segment(truth, Interval(left, right)))
+    """Merge the plan's per-stage entries into maximal segments, with fluents
+    sorted by name and actions by (name, actor, copy)."""
+    pieces: dict[str, list[Segment]] = {}
+    for key, (truth, left, right) in plan.fluent_entries.items():
+        pieces.setdefault(key.fluent, []).append(Segment(truth, Interval(left, right)))
     actions = tuple(
         (key, Interval(start, end))
         for key, (start, end) in sorted(
@@ -367,5 +394,5 @@ def diagram_from_plan(plan: Plan) -> TimingDiagram:
         )
     )
     return TimingDiagram(
-        {f: _merge_segments(segs) for f, segs in segments.items()}, actions, plan.boundaries
+        {f: merge_segments(pieces[f]) for f in sorted(pieces)}, actions, plan.boundaries
     )

@@ -58,7 +58,6 @@ class SolverConfig:
     time_budget: float = 300.0
     node_budget: int = 100_000_000
     branching: str = "actions_first"  # or "declaration"
-    seed: int = 0  # reserved; search is deterministic without randomization
 
     def __post_init__(self) -> None:
         if self.time_budget <= 0 or self.node_budget <= 0:

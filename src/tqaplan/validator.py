@@ -1,19 +1,23 @@
 """Independent semantic plan checking against interval-logic semantics, and
 an exhaustive model enumerator used as the encoder's ground-truth oracle.
 
-Everything here works on concrete truth timelines; no constraint-model
-machinery is consulted.  Boundary convention: a fluent segment touching
-time 0 extends conceptually before it iff the fluent is an initial
-condition, and a segment touching the plan's end extends beyond iff the
-fluent is a goal (the same before/after context the theory's boundary
-intervals provide).
+No constraint-model machinery is consulted.  Each fluent is read as its
+maximal constant-truth segments, and every rule is a relation between those
+segments and action intervals in the Allen algebra of ``intervals``; the
+cost follows the number of entries, not the length of the horizon.
+
+Boundary context: for the window rules a fluent gains one virtual tick
+before time 0 that is true iff the fluent is an initial condition, and one
+after the plan's end that is true iff it is a goal (the same before/after
+context the theory's boundary intervals provide).  All context coordinates
+are shifted by +1 so that the virtual tick before 0 is ``[0, 1)``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .domain import (
     ConstraintRel,
@@ -24,7 +28,8 @@ from .domain import (
     raises_of,
     validate_domain,
 )
-from .search import ActionKey, FluentTqaKey, Plan
+from .intervals import AllenRelation, CompositeRelation, Interval, allen_relation, holds_composite
+from .search import ActionKey, FluentTqaKey, Plan, Segment, diagram_from_plan, merge_segments
 from .solver import GuardExceededError
 from .theory import InvalidDomainError, default_horizon, effective_copy_cap, ground_actions
 
@@ -52,54 +57,95 @@ class ValidationReport:
         return not self.violations
 
 
-# -- primitive rule checks on timelines --------------------------------------
+# -- rules on maximal segments, shared by validation and enumeration ---------
 
 
-def _contains_ok(tl, start, end, total, in_init, in_goal) -> bool:
-    if start == 0:
-        if not in_init:
+def _true_intervals(segments: Sequence[Segment]) -> list[Interval]:
+    return [seg.interval for seg in segments if seg.truth]
+
+
+def _context(true: Sequence[Interval], total: int, in_init: bool, in_goal: bool) -> list[Interval]:
+    """True segments in boundary-context coordinates (see module docstring)."""
+    pieces = [Segment(True, Interval(iv.left + 1, iv.right + 1)) for iv in true]
+    if in_init:
+        pieces.append(Segment(True, Interval(0, 1)))
+    if in_goal:
+        pieces.append(Segment(True, Interval(total + 1, total + 2)))
+    return [seg.interval for seg in merge_segments(pieces)]
+
+
+def _window_ok(rel: ConstraintRel, context: Sequence[Interval], start: int, end: int) -> bool:
+    """contains: a true segment strictly contains the action, context ticks
+    included.  overlaps: a true segment overlaps the action from the left
+    and no other rises and falls again inside it.  equals: a true segment is
+    exactly the action with one-tick insets."""
+    if rel is ConstraintRel.EQUALS:
+        if end - start < 3:
             return False
-    elif not tl[start - 1]:
-        return False
-    if not all(tl[start:end]):
-        return False
-    if end == total:
-        return in_goal
-    return tl[end]
+        inset = Interval(start + 2, end)
+        return any(allen_relation(seg, inset) is AllenRelation.EQUAL for seg in context)
+    action = Interval(start + 1, end + 1)
+    relations = {allen_relation(seg, action) for seg in context}
+    if rel is ConstraintRel.CONTAINS:
+        return AllenRelation.CONTAINS in relations
+    return AllenRelation.OVERLAPS in relations and AllenRelation.DURING not in relations
 
 
-def _overlaps_ok(tl, start, end, total, in_init) -> bool:
-    if start == 0:
-        if not in_init:
-            return False
-    elif not tl[start - 1]:
-        return False
-    if not tl[start]:
-        return False
-    falls = sum(1 for x in range(start + 1, end) if tl[x - 1] and not tl[x])
-    return falls == 1
+def _unjustified(
+    true: Sequence[Interval],
+    total: int,
+    raisers: Sequence[Interval],
+    lowerers: Sequence[Interval],
+) -> tuple[list[int], list[int]]:
+    """Rises and falls (tick boundaries inside the plan) that lie strictly
+    inside no raiser, respectively lowerer, span."""
 
+    def covered(x: int, spans: Sequence[Interval]) -> bool:
+        around = Interval(x - 1, x + 1)
+        return any(holds_composite(CompositeRelation.SUBINTERVAL, span, around) for span in spans)
 
-def _equals_ok(tl, start, end) -> bool:
-    if end - start < 3:
-        return False
-    if tl[start] or tl[end - 1]:
-        return False
-    return all(tl[start + 1 : end - 1])
-
-
-def _transitions(tl) -> tuple[list[int], list[int]]:
-    rises, falls = [], []
-    for x in range(1, len(tl)):
-        if tl[x] and not tl[x - 1]:
-            rises.append(x)
-        elif tl[x - 1] and not tl[x]:
-            falls.append(x)
+    rises = [iv.left for iv in true if iv.left > 0 and not covered(iv.left, raisers)]
+    falls = [iv.right for iv in true if iv.right < total and not covered(iv.right, lowerers)]
     return rises, falls
 
 
-def _strictly_covered(x: int, spans: Iterable[tuple[int, int]]) -> bool:
-    return any(s < x < e for s, e in spans)
+def _first_shared_tick(a: Sequence[Interval], b: Sequence[Interval]) -> Optional[int]:
+    """Earliest tick where two fluents are both true, if any."""
+    return min(
+        (
+            max(x.left, y.left)
+            for x in a
+            for y in b
+            if not holds_composite(CompositeRelation.DISJOINT, x, y)
+        ),
+        default=None,
+    )
+
+
+def _coverage_fault(fluent: str, segments: Sequence[Segment], total: int) -> Optional[str]:
+    """The segments must tile [0, total) without gaps or conflicting truth."""
+    reach = 0
+    for seg in segments:
+        if seg.interval.left > reach:
+            break
+        if seg.interval.left < reach:
+            return f"conflicting truth for {fluent!r} from time {seg.interval.left}"
+        reach = seg.interval.right
+    if reach < total:
+        return f"no truth recorded for {fluent!r} at time {reach}"
+    return None
+
+
+def _movers(d: Domain) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+    """Per skill, the fluents it can raise and the fluents it can lower."""
+    return {s.name: (raises_of(d, s.name), lowers(d, s.name)) for s in d.skills}
+
+
+def _mover_spans(fluent: str, skill_entries, movers) -> tuple[list[Interval], list[Interval]]:
+    """Spans of the skill entries that can raise, and that can lower, the fluent."""
+    raisers = [iv for key, iv in skill_entries if fluent in movers[key.name][0]]
+    lowerers = [iv for key, iv in skill_entries if fluent in movers[key.name][1]]
+    return raisers, lowerers
 
 
 # -- full plan validation ------------------------------------------------------
@@ -153,40 +199,19 @@ def validate_plan(d: Domain, plan: Plan) -> ValidationReport:
     if report.violations:
         return report
 
-    timelines: dict[str, list] = {}
-    for fluent in declared:
-        row: list = [None] * total
-        for key, (truth, left, right) in plan.fluent_entries.items():
-            if key.fluent != fluent:
-                continue
-            for x in range(left, right):
-                if row[x] is not None and row[x] != truth:
-                    add(
-                        Violation(
-                            "timeline-coverage",
-                            (fluent,),
-                            f"conflicting truth at time {x} for {fluent!r}",
-                        )
-                    )
-                    return report
-                row[x] = truth
-        if any(v is None for v in row):
-            gap = next(x for x, v in enumerate(row) if v is None)
-            add(
-                Violation(
-                    "timeline-coverage",
-                    (fluent,),
-                    f"no truth recorded for {fluent!r} at time {gap}",
-                )
-            )
+    diagram = diagram_from_plan(plan)
+    for fluent in sorted(declared):
+        fault = _coverage_fault(fluent, diagram.fluents.get(fluent, ()), total)
+        if fault is not None:
+            add(Violation("timeline-coverage", (fluent,), fault))
             return report
-        timelines[fluent] = row
+    true = {fluent: _true_intervals(diagram.fluents[fluent]) for fluent in declared}
 
     for fluent in sorted(declared):
-        tl = timelines[fluent]
-        if fluent in d.init and not tl[0]:
+        segments = diagram.fluents[fluent]
+        if fluent in d.init and not segments[0].truth:
             add(Violation("initial-condition", (fluent,), f"{fluent!r} must start true"))
-        if fluent not in d.init and tl[0]:
+        if fluent not in d.init and segments[0].truth:
             add(
                 Violation(
                     "initial-condition",
@@ -194,40 +219,47 @@ def validate_plan(d: Domain, plan: Plan) -> ValidationReport:
                     f"{fluent!r} is not an initial condition but starts true",
                 )
             )
-        if fluent in d.goal and not tl[total - 1]:
+        if fluent in d.goal and not segments[-1].truth:
             add(Violation("terminal-condition", (fluent,), f"{fluent!r} must end true"))
 
+    movers = _movers(d)
     skill_entries = [
-        (key, span)
+        (key, Interval(*span))
         for key, span in sorted(plan.action_entries.items(), key=lambda kv: kv[0].label())
         if key.name in skill_by_name
     ]
     for fluent in sorted(declared):
-        rises, falls = _transitions(timelines[fluent])
-        raiser_spans = [
-            span for key, span in skill_entries if fluent in raises_of(d, key.name)
-        ]
-        lowerer_spans = [span for key, span in skill_entries if fluent in lowers(d, key.name)]
+        rises, falls = _unjustified(
+            true[fluent], total, *_mover_spans(fluent, skill_entries, movers)
+        )
         for x in rises:
-            if not _strictly_covered(x, raiser_spans):
-                add(
-                    Violation(
-                        "frame",
-                        (fluent,),
-                        f"rise of {fluent!r} at time {x} has no covering raiser",
-                    )
+            add(
+                Violation(
+                    "frame",
+                    (fluent,),
+                    f"rise of {fluent!r} at time {x} has no covering raiser",
                 )
+            )
         for x in falls:
-            if not _strictly_covered(x, lowerer_spans):
-                add(
-                    Violation(
-                        "frame",
-                        (fluent,),
-                        f"fall of {fluent!r} at time {x} has no covering lowerer",
-                    )
+            add(
+                Violation(
+                    "frame",
+                    (fluent,),
+                    f"fall of {fluent!r} at time {x} has no covering lowerer",
                 )
+            )
 
-    for key, (start, end) in skill_entries:
+    contexts = {
+        fluent: _context(true[fluent], total, fluent in d.init, fluent in d.goal)
+        for fluent in declared
+    }
+    messages = {
+        ConstraintRel.CONTAINS: "does not strictly contain {}",
+        ConstraintRel.OVERLAPS: "does not overlap {} from the left",
+        ConstraintRel.EQUALS: "does not mirror {} with one-tick insets",
+    }
+    for key, span in skill_entries:
+        start, end = span.left, span.right
         skill = skill_by_name[key.name]
         if skill.kind is SkillKind.DELAY and end - start != skill.duration:
             add(
@@ -240,40 +272,17 @@ def validate_plan(d: Domain, plan: Plan) -> ValidationReport:
         if skill.kind is SkillKind.TIMER and end - start < 1:
             add(Violation("duration", (key.label(),), f"timer {key.name!r} spans nothing"))
         for spec in skill.constraints:
-            tl = timelines[spec.fluent]
-            in_init = spec.fluent in d.init
-            in_goal = spec.fluent in d.goal
-            if spec.rel is ConstraintRel.CONTAINS:
-                if not _contains_ok(tl, start, end, total, in_init, in_goal):
-                    add(
-                        Violation(
-                            "contains",
-                            (key.label(), spec.fluent),
-                            f"{spec.fluent!r} does not strictly contain {key.label()}",
-                        )
+            if not _window_ok(spec.rel, contexts[spec.fluent], start, end):
+                add(
+                    Violation(
+                        spec.rel.value,
+                        (key.label(), spec.fluent),
+                        f"{spec.fluent!r} " + messages[spec.rel].format(key.label()),
                     )
-            elif spec.rel is ConstraintRel.OVERLAPS:
-                if not _overlaps_ok(tl, start, end, total, in_init):
-                    add(
-                        Violation(
-                            "overlaps",
-                            (key.label(), spec.fluent),
-                            f"{spec.fluent!r} does not overlap {key.label()} from the left",
-                        )
-                    )
-            else:
-                if not _equals_ok(tl, start, end):
-                    add(
-                        Violation(
-                            "equals",
-                            (key.label(), spec.fluent),
-                            f"{spec.fluent!r} does not mirror {key.label()} with one-tick insets",
-                        )
-                    )
+                )
 
     for first, second in sorted(d.interference):
-        tl_a, tl_b = timelines[first], timelines[second]
-        clash = next((x for x in range(total) if tl_a[x] and tl_b[x]), None)
+        clash = _first_shared_tick(true[first], true[second])
         if clash is not None:
             add(
                 Violation(
@@ -363,26 +372,34 @@ class EnumerationOutcome:
         return self.status == "sat"
 
 
-def _flow_sequences(n: int, boundaries, start_value: bool):
-    """All stage-aligned truth profiles: per stage either constant or one
-    interior transition (needs two ticks of room).  Yields (timeline, stages)
-    where stages is a list of (v, w, split)."""
+def _flows(n: int, boundaries, in_init: bool, in_goal: bool) -> list[tuple]:
+    """All stage-aligned truth profiles of one fluent that start as the
+    initial condition says and end true if it is a goal: per stage either
+    constant or one interior transition (needs two ticks of room).  Each is
+    (stages, true segments, boundary context), stages a list of (v, w, split)."""
     total = boundaries[-1]
+    out = []
 
-    def rec(t: int, value: bool, timeline: list, stages: list):
+    def rec(t: int, value: bool, stages: list):
         if t > n:
-            yield tuple(timeline), tuple(stages)
+            pieces = []
+            for u, (v, w, split) in enumerate(stages, start=1):
+                if split > boundaries[u - 1]:
+                    pieces.append(Segment(v, Interval(boundaries[u - 1], split)))
+                pieces.append(Segment(w, Interval(split, boundaries[u])))
+            segments = merge_segments(pieces)
+            if in_goal and not segments[-1].truth:
+                return
+            true = _true_intervals(segments)
+            out.append((tuple(stages), true, _context(true, total, in_init, in_goal)))
             return
         lo, hi = boundaries[t - 1], boundaries[t]
-        const = timeline + [value] * (hi - lo)
-        yield from rec(t + 1, value, const, stages + [(value, value, lo)])
+        rec(t + 1, value, stages + [(value, value, lo)])
         for split in range(lo + 1, hi):
-            flipped = timeline + [value] * (split - lo) + [not value] * (hi - split)
-            yield from rec(
-                t + 1, not value, flipped, stages + [(value, not value, split)]
-            )
+            rec(t + 1, not value, stages + [(value, not value, split)])
 
-    yield from rec(1, start_value, [], [])
+    rec(1, in_init, [])
+    return out
 
 
 def _count_flow_sequences(n: int, boundaries) -> int:
@@ -553,6 +570,8 @@ def enumerate_models(
 
     best_makespan: Optional[int] = None
     best_witness: Optional[Plan] = None
+    movers = _movers(d)
+    flow_cache: dict[tuple, list[tuple]] = {}
 
     for boundaries in boundary_vectors:
         total = boundaries[-1]
@@ -580,51 +599,32 @@ def enumerate_models(
                 continue
 
             skill_entries = [
-                (key, span) for key, span in entries.items() if key.name in skill_by_name
+                (key, Interval(*span))
+                for key, span in entries.items()
+                if key.name in skill_by_name
             ]
             survivors: list[list] = []
-            feasible = True
             for fluent in fluents:
-                raiser_spans = [
-                    span for key, span in skill_entries if fluent in raises_of(d, key.name)
-                ]
-                lowerer_spans = [
-                    span for key, span in skill_entries if fluent in lowers(d, key.name)
-                ]
+                raisers, lowerers = _mover_spans(fluent, skill_entries, movers)
                 specs = [
-                    (key, span, spec.rel)
+                    (span.left, span.right, spec.rel)
                     for key, span in skill_entries
                     for spec in skill_by_name[key.name].constraints
                     if spec.fluent == fluent
                 ]
-                in_init = fluent in d.init
-                in_goal = fluent in d.goal
-                ok_seqs = []
-                for timeline, stages in _flow_sequences(n, boundaries, in_init):
-                    if in_goal and not timeline[total - 1]:
-                        continue
-                    rises, falls = _transitions(timeline)
-                    if not all(_strictly_covered(x, raiser_spans) for x in rises):
-                        continue
-                    if not all(_strictly_covered(x, lowerer_spans) for x in falls):
-                        continue
-                    ok = True
-                    for _key, (start, end), rel in specs:
-                        if rel is ConstraintRel.CONTAINS:
-                            ok = _contains_ok(timeline, start, end, total, in_init, in_goal)
-                        elif rel is ConstraintRel.OVERLAPS:
-                            ok = _overlaps_ok(timeline, start, end, total, in_init)
-                        else:
-                            ok = _equals_ok(timeline, start, end)
-                        if not ok:
-                            break
-                    if ok:
-                        ok_seqs.append((timeline, stages))
-                if not ok_seqs:
-                    feasible = False
+                flow_key = (boundaries, fluent in d.init, fluent in d.goal)
+                if flow_key not in flow_cache:
+                    flow_cache[flow_key] = _flows(n, *flow_key)
+                ok_flows = [
+                    flow
+                    for flow in flow_cache[flow_key]
+                    if _unjustified(flow[1], total, raisers, lowerers) == ([], [])
+                    and all(_window_ok(rel, flow[2], start, end) for start, end, rel in specs)
+                ]
+                if not ok_flows:
                     break
-                survivors.append(ok_seqs)
-            if not feasible:
+                survivors.append(ok_flows)
+            if len(survivors) < len(fluents):
                 continue
 
             combo = _compatible_combo(d, fluents, survivors)
@@ -647,7 +647,7 @@ def enumerate_models(
 
 
 def _compatible_combo(d: Domain, fluents, survivors):
-    """Pick one surviving timeline per fluent such that interfering pairs are
+    """Pick one surviving flow per fluent such that interfering pairs are
     never co-true; first match in enumeration order."""
     index = {name: i for i, name in enumerate(fluents)}
     earlier_partners: dict[int, list[int]] = {i: [] for i in range(len(fluents))}
@@ -660,14 +660,13 @@ def _compatible_combo(d: Domain, fluents, survivors):
         if i == len(fluents):
             yield list(picked)
             return
-        for seq in survivors[i]:
-            timeline = seq[0]
+        for flow in survivors[i]:
             if any(
-                any(x and y for x, y in zip(picked[j][0], timeline))
+                _first_shared_tick(picked[j][1], flow[1]) is not None
                 for j in earlier_partners[i]
             ):
                 continue
-            picked.append(seq)
+            picked.append(flow)
             yield from rec(i + 1, picked)
             picked.pop()
 
@@ -676,7 +675,7 @@ def _compatible_combo(d: Domain, fluents, survivors):
 
 def _build_plan(fluents, combo, entries, boundaries, n) -> Plan:
     fluent_entries: dict[FluentTqaKey, tuple[bool, int, int]] = {}
-    for fluent, (timeline, stages) in zip(fluents, combo):
+    for fluent, (stages, *_) in zip(fluents, combo):
         for t, (v, w, split) in enumerate(stages, start=1):
             lo, hi = boundaries[t - 1], boundaries[t]
             if v == w:

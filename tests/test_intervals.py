@@ -10,18 +10,12 @@ from hypothesis import given, strategies as st
 from tqaplan.intervals import (
     INVERSE,
     AllenRelation,
-    AtomAt,
     CompositeRelation,
-    Conj,
-    Disj,
     History,
     HistoryTooShortError,
     Interval,
-    RelAtom,
     Tqa,
-    UnboundIntervalError,
     allen_relation,
-    check_sentence,
     check_tqa,
     decompose,
     holds_composite,
@@ -185,22 +179,3 @@ def test_decompose_check_consistency():
             pieces = decompose(Tqa("p", True, iv), cuts)
             whole = check_tqa(h, Tqa("p", True, iv))
             assert whole == all(check_tqa(h, piece) for piece in pieces)
-
-
-def test_check_sentence():
-    h = History.from_true_segments(4, {"p": [Interval(0, 2)], "q": [Interval(0, 4)]})
-    bindings = {"X": Interval(0, 2), "Y": Interval(2, 4)}
-    sentence = Conj(
-        (
-            AtomAt("p", True, "X"),
-            RelAtom(AllenRelation.MEETS, "X", "Y"),
-        )
-    )
-    assert check_sentence(h, bindings, sentence)
-    assert not check_sentence(h, {"X": Interval(0, 2), "Y": Interval(3, 4)}, sentence)
-    either = Disj((AtomAt("p", True, "Y"), AtomAt("q", True, "Y")))
-    assert check_sentence(h, bindings, either)
-    with pytest.raises(UnboundIntervalError):
-        check_sentence(h, {}, sentence)
-    composite = RelAtom(CompositeRelation.DISJOINT, "X", "Y")
-    assert check_sentence(h, bindings, composite)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -139,3 +140,55 @@ def test_plan_document_rejections():
 def test_invalid_max_n():
     with pytest.raises(ValueError):
         find_plan(TINY, limits=SearchLimits(max_n=0))
+
+
+def _document(n=1, boundaries=(0, 2), objective=None, fluents=None, actions=None):
+    doc = {
+        "n": n,
+        "boundaries": list(boundaries),
+        "objective": objective,
+        "fluents": {"g": [{"truth": False, "start": 0, "end": 2}]} if fluents is None else fluents,
+        "actions": [] if actions is None else actions,
+    }
+    return json.dumps(doc)
+
+
+def _action(**overrides):
+    entry = {"name": "a", "actor": 1, "copy": 1, "start": 0, "end": 2}
+    entry.update(overrides)
+    return [entry]
+
+
+def _segment(**overrides):
+    seg = {"truth": False, "start": 0, "end": 2}
+    seg.update(overrides)
+    return {"g": [seg]}
+
+
+STRICT_CASES = {
+    "truth-string-false": _document(fluents=_segment(truth="false")),
+    "truth-string-no": _document(fluents=_segment(truth="no")),
+    "truth-integer": _document(fluents=_segment(truth=0)),
+    "end-float": _document(fluents=_segment(end=2.5)),
+    "end-string": _document(fluents=_segment(end="2")),
+    "boundary-float": _document(boundaries=(0, 2.9)),
+    "boundary-bool": _document(boundaries=(0, True), fluents=_segment(end=1)),
+    "n-float": _document(n=1.0),
+    "n-bool": _document(n=True),
+    "n-zero": _document(n=0, boundaries=(0,), fluents={}),
+    "copy-float": _document(actions=_action(copy=1.9)),
+    "actor-string": _document(actions=_action(actor="1")),
+    "start-bool": _document(actions=_action(start=False)),
+    "name-integer": _document(actions=_action(name=7)),
+    "objective-garbage": _document(objective="abc"),
+    "objective-zero-denominator": _document(objective="1/0"),
+    "objective-number": _document(objective=3),
+    "segments-not-a-list": _document(fluents={"g": 5}),
+    "actions-not-a-list": _document(actions=5),
+}
+
+
+@pytest.mark.parametrize("text", STRICT_CASES.values(), ids=STRICT_CASES.keys())
+def test_plan_document_types_are_strict(text):
+    with pytest.raises(PlanFormatError):
+        plan_from_document(text)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +13,8 @@ from randgen import random_tiny_domain
 from tqaplan.benchgen import GadgetSpec, gen_cushing
 from tqaplan.domain import parse_domain
 from tqaplan.encoder import encode
-from tqaplan.search import ActionKey, SearchLimits, find_plan
+from tqaplan.intervals import History, Interval, Tqa, check_tqa
+from tqaplan.search import ActionKey, FluentTqaKey, Plan, SearchLimits, find_plan
 from tqaplan.solver import GuardExceededError, SolverConfig, solve
 from tqaplan.theory import default_horizon, instantiate
 from tqaplan.validator import enumerate_models, validate_plan
@@ -186,3 +190,177 @@ def test_agreement_with_encoder_small_batch():
                 assert validate_plan(d, truth.witness).is_valid
             checked += 1
     assert checked >= 40
+
+
+# -- window, coverage and chain rules on hand-built plans ---------------------
+
+
+def hand_plan(total, fluents, actions):
+    """A one-stage plan over [0, total): fluents map to (truth, start, end)
+    pieces, actions map labels "name@actor#copy" to (start, end)."""
+    fluent_entries = {
+        FluentTqaKey(name, 1, part): piece
+        for name, pieces in fluents.items()
+        for part, piece in enumerate(pieces)
+    }
+    action_entries = {}
+    for label, span in actions.items():
+        name, rest = label.split("@")
+        actor, copy = rest.split("#")
+        action_entries[ActionKey(name, int(actor), int(copy))] = span
+    return Plan(fluent_entries, action_entries, (0, total), 1)
+
+
+def found(report, rule):
+    return [v.subjects for v in report.violations if v.rule == rule]
+
+
+WINDOWS = parse_domain(
+    '{"fluents": [{"name": "p", "role": "resource"}],'
+    ' "skills": ['
+    '{"name": "c", "kind": "timer", "constraints": [{"fluent": "p", "rel": "contains"}]},'
+    '{"name": "o", "kind": "timer", "constraints": [{"fluent": "p", "rel": "overlaps"}]},'
+    '{"name": "q", "kind": "timer", "constraints": [{"fluent": "p", "rel": "equals"}]}]}'
+)
+
+
+def reference_windows(bits, in_init, in_goal, start, end):
+    """The window relations read off a truth history, tick by tick, with one
+    context tick before 0 (the initial condition) and one after the end (the
+    goal); history time x is plan time x - 1."""
+    h = History(len(bits) + 2, {"p": [in_init, *bits, in_goal]})
+
+    def holds(truth, left, right):
+        return check_tqa(h, Tqa("p", truth, Interval(left, right)))
+
+    contains = holds(True, start, end + 2)
+    falls = sum(holds(True, x, x + 1) and holds(False, x + 1, x + 2) for x in range(start + 1, end))
+    overlaps = holds(True, start, start + 2) and falls == 1
+    equals = (
+        end - start >= 3
+        and holds(False, start + 1, start + 2)
+        and holds(True, start + 2, end)
+        and holds(False, end, end + 1)
+    )
+    return {"contains": contains, "overlaps": overlaps, "equals": equals}
+
+
+def test_window_rules_match_tick_reference_exhaustively():
+    checked = 0
+    for size in range(1, 7):
+        for bits in itertools.product((False, True), repeat=size):
+            pieces = [(b, x, x + 1) for x, b in enumerate(bits)]
+            for in_init, in_goal in itertools.product((False, True), repeat=2):
+                domain = replace(
+                    WINDOWS,
+                    init=frozenset({"p"} if in_init else ()),
+                    goal=frozenset({"p"} if in_goal else ()),
+                )
+                for start in range(size):
+                    for end in range(start + 1, size + 1):
+                        plan = hand_plan(
+                            size, {"p": pieces}, {f"{s}@1#1": (start, end) for s in "coq"}
+                        )
+                        report = validate_plan(domain, plan)
+                        got = {
+                            rule: not found(report, rule)
+                            for rule in ("contains", "overlaps", "equals")
+                        }
+                        assert got == reference_windows(bits, in_init, in_goal, start, end), (
+                            bits, in_init, in_goal, start, end
+                        )
+                        checked += 1
+    assert checked == 8184
+
+
+def test_overlaps_rule():
+    # p true on [0, 3) and falls once inside the action [2, 5)
+    ok = hand_plan(6, {"p": [(True, 0, 3), (False, 3, 6)]}, {"o@1#1": (2, 5)})
+    assert not found(validate_plan(WINDOWS, ok), "overlaps")
+    # false when the action starts
+    late = hand_plan(6, {"p": [(True, 0, 3), (False, 3, 6)]}, {"o@1#1": (3, 5)})
+    assert found(validate_plan(WINDOWS, late), "overlaps") == [("o@1#1", "p")]
+    # falls twice inside the action
+    twice = hand_plan(
+        8, {"p": [(True, 0, 3), (False, 3, 4), (True, 4, 5), (False, 5, 8)]}, {"o@1#1": (1, 7)}
+    )
+    assert found(validate_plan(WINDOWS, twice), "overlaps") == [("o@1#1", "p")]
+
+
+def test_equals_rule():
+    pieces = [(False, 0, 2), (True, 2, 4), (False, 4, 6)]
+    ok = hand_plan(6, {"p": pieces}, {"q@1#1": (1, 5)})
+    assert not found(validate_plan(WINDOWS, ok), "equals")
+    wide = hand_plan(6, {"p": pieces}, {"q@1#1": (1, 6)})
+    assert found(validate_plan(WINDOWS, wide), "equals") == [("q@1#1", "p")]
+    short = hand_plan(6, {"p": [(False, 0, 6)]}, {"q@1#1": (1, 3)})
+    assert found(validate_plan(WINDOWS, short), "equals") == [("q@1#1", "p")]
+
+
+def test_frame_transition_strictly_inside_the_action():
+    domain = parse_domain(
+        '{"fluents": ["g"], "skills": [{"name": "a", "kind": "timer", "raises": ["g"]}],'
+        ' "goal": ["g"]}'
+    )
+    rise = {"g": [(False, 0, 2), (True, 2, 4)]}
+    assert validate_plan(domain, hand_plan(4, rise, {"a@1#1": (1, 3)})).is_valid
+    for span in ((2, 4), (0, 2)):
+        report = validate_plan(domain, hand_plan(4, rise, {"a@1#1": span}))
+        assert found(report, "frame") == [("g",)]
+
+
+def test_timeline_coverage_gap_and_conflict():
+    gap = hand_plan(4, {"g": [(False, 0, 2), (False, 3, 4)]}, {})
+    report = validate_plan(TINY, gap)
+    assert [(v.rule, v.subjects) for v in report.violations] == [("timeline-coverage", ("g",))]
+    assert "at time 2" in report.violations[0].message
+
+    conflict = hand_plan(4, {"g": [(False, 0, 4), (True, 1, 2)]}, {})
+    report = validate_plan(TINY, conflict)
+    assert [(v.rule, v.subjects) for v in report.violations] == [("timeline-coverage", ("g",))]
+    assert "conflicting truth" in report.violations[0].message
+    assert "time 1" in report.violations[0].message
+
+
+CHAINED = parse_domain(
+    '{"fluents": ["g"],'
+    ' "skills": [{"name": "s1", "kind": "delay", "duration": 2},'
+    '            {"name": "s2", "kind": "delay", "duration": 2}],'
+    ' "temporal_actions": [{"name": "t", "skills": ["s1", "s2"]}]}'
+)
+
+
+def test_temporal_chain_rule():
+    idle = {"g": [(False, 0, 6)]}
+    chained = hand_plan(6, idle, {"t@1#1": (0, 4), "s1@1#1": (0, 2), "s2@1#1": (2, 4)})
+    assert validate_plan(CHAINED, chained).is_valid
+
+    missing = hand_plan(6, idle, {"t@1#1": (0, 4), "s1@1#1": (0, 2)})
+    report = validate_plan(CHAINED, missing)
+    assert found(report, "temporal-chain") == [("t@1#1", "s2")]
+
+    misaligned = hand_plan(6, idle, {"t@1#1": (0, 5), "s1@1#1": (0, 2), "s2@1#1": (3, 5)})
+    report = validate_plan(CHAINED, misaligned)
+    assert found(report, "temporal-chain") == [("t@1#1", "s2")]
+    assert "starts at 3, expected 2" in report.violations[0].message
+
+
+def test_validation_cost_does_not_grow_with_the_horizon():
+    horizon = 10**7
+    domain = parse_domain(
+        '{"fluents": ["g"], "skills": [{"name": "a", "kind": "timer", "raises": ["g"]}],'
+        ' "goal": ["g"]}'
+    )
+    plan = hand_plan(
+        horizon,
+        {"g": [(False, 0, horizon // 2), (True, horizon // 2, horizon)]},
+        {"a@1#1": (0, horizon)},
+    )
+    tracemalloc.start()
+    try:
+        report = validate_plan(domain, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_valid
+    assert peak < 1 << 20
