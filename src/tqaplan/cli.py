@@ -3,6 +3,9 @@ validate plans, and run benchmark sweeps into a CSV.
 
 Exit codes for solve: 0 plan found, 1 stage counts exhausted, 2 resource
 limit, 3 input error.  Validate: 0 valid, 1 invalid, 3 malformed input.
+Every command exits 3 on an input error, with a one-line message on stderr,
+and 141 (128 + SIGPIPE, as a shell reports a process killed by a broken
+pipe) when its standard output is closed early.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -22,14 +26,13 @@ from .search import (
     EXHAUSTED,
     FOUND,
     FindOutcome,
-    PlanFormatError,
     SearchLimits,
     find_plan,
     plan_from_document,
     plan_to_document,
 )
 from .solver import SolverConfig
-from .theory import InvalidDomainError, instantiate
+from .theory import instantiate
 from .validator import validate_plan
 
 CSV_COLUMNS = (
@@ -45,6 +48,9 @@ CSV_COLUMNS = (
     "objective",
     "verdict",
 )
+
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _fail(message: str) -> int:
@@ -99,17 +105,14 @@ def _run_record(instance: str, outcome: FindOutcome) -> dict:
 
 
 def cmd_solve(args) -> int:
-    try:
-        domain = _load_domain(args.domain, args.strict_io)
-        outcome = find_plan(
-            domain,
-            objective=args.objective,
-            limits=_limits_from(args),
-            cfg=_config_from(args),
-            geometric=args.geometric_n,
-        )
-    except (FileNotFoundError, DomainFormatError, InvalidDomainError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    domain = _load_domain(args.domain, args.strict_io)
+    outcome = find_plan(
+        domain,
+        objective=args.objective,
+        limits=_limits_from(args),
+        cfg=_config_from(args),
+        geometric=args.geometric_n,
+    )
     print(json.dumps(_run_record(args.domain, outcome)))
     if outcome.status == FOUND:
         plan_path = args.plan_out or str(Path(args.domain).with_suffix(".plan.json"))
@@ -117,24 +120,20 @@ def cmd_solve(args) -> int:
         print(f"plan written to {plan_path}", file=sys.stderr)
         return 0
     if outcome.status == EXHAUSTED:
-        print(f"no plan up to {args.max_n} stages", file=sys.stderr)
+        # the horizon cuts the schedule short exactly when it is below --max-n
+        if args.horizon is not None and args.horizon < args.max_n:
+            reason = f"--horizon {args.horizon} admits no more stages"
+        else:
+            reason = f"--max-n {args.max_n} reached"
+        print(f"no plan up to {outcome.last_n} stages ({reason})", file=sys.stderr)
         return 1
     print("resource limit reached", file=sys.stderr)
     return 2
 
 
 def cmd_validate(args) -> int:
-    try:
-        domain = _load_domain(args.domain, args.strict_io)
-        plan = plan_from_document(Path(args.plan).read_text(encoding="utf-8"))
-    except (
-        FileNotFoundError,
-        DomainFormatError,
-        InvalidDomainError,
-        PlanFormatError,
-        json.JSONDecodeError,
-    ) as exc:
-        return _fail(str(exc))
+    domain = _load_domain(args.domain, args.strict_io)
+    plan = plan_from_document(Path(args.plan).read_text(encoding="utf-8"))
     report = validate_plan(domain, plan)
     payload = {
         "verdict": report.verdict,
@@ -148,11 +147,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        spec = GadgetSpec(args.type, args.copies, args.height)
-        domain = gen_cushing(spec)
-    except ValueError as exc:
-        return _fail(str(exc))
+    domain = gen_cushing(GadgetSpec(args.type, args.copies, args.height))
     text = serialize_domain(domain)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -163,12 +158,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    try:
-        domain = _load_domain(args.domain, args.strict_io)
-        shape = instantiate(domain, args.n, args.max_copies, args.horizon)
-        model = encode(shape, args.objective)
-    except (FileNotFoundError, DomainFormatError, InvalidDomainError, ValueError) as exc:
-        return _fail(str(exc))
+    domain = _load_domain(args.domain, args.strict_io)
+    model = encode(instantiate(domain, args.n, args.max_copies, args.horizon), args.objective)
     text = export_model(model)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -187,13 +178,10 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_bench(args) -> int:
-    try:
-        copies = _parse_range(args.copies)
-        heights = _parse_range(args.height) if args.height else [None]
-        if args.type == "I" and args.height:
-            return _fail("Type I instances have no height")
-    except ValueError as exc:
-        return _fail(str(exc))
+    copies = _parse_range(args.copies)
+    heights = _parse_range(args.height) if args.height else [None]
+    if args.type == "I" and args.height:
+        return _fail("Type I instances have no height")
     rows = []
     for m in copies:
         for h in heights:
@@ -306,8 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that turns exceptions into exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (OSError, ValueError) as exc:
+        # unreadable paths, and documents or flag values the library rejects
+        # (every format error it raises is a ValueError)
+        return _fail(str(exc))
+    return code
 
 
 if __name__ == "__main__":

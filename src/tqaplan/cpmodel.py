@@ -4,6 +4,7 @@ canonical text form that round-trips exactly."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -98,6 +99,22 @@ class ModelFormatError(ValueError):
     pass
 
 
+_CMP_OPS = (LE, GE, EQ)
+_LIN_OPS = (LE, EQ)
+
+
+def _check_terms(terms: tuple[Term, ...], nb: int, ni: int) -> None:
+    for t in terms:
+        if t.space == BOOL:
+            if not 0 <= t.var < nb:
+                raise ModelFormatError(f"boolean id {t.var} out of range")
+        elif t.space == INT:
+            if not 0 <= t.var < ni:
+                raise ModelFormatError(f"integer id {t.var} out of range")
+        else:
+            raise ModelFormatError(f"bad variable space {t.space!r}")
+
+
 @dataclass
 class CspModel:
     bool_names: list[str] = field(default_factory=list)
@@ -138,56 +155,42 @@ class CspModel:
         return len(self.int_decls)
 
     def check_well_formed(self) -> None:
-        """Reject dangling variable references and malformed pieces."""
+        """Reject dangling variable references and malformed pieces.
 
-        def check_atom(a: Atom) -> None:
-            if isinstance(a, Lit):
-                if not 0 <= a.var < self.n_bools:
-                    raise ModelFormatError(f"boolean id {a.var} out of range")
-            else:
-                if not 0 <= a.var < self.n_ints:
-                    raise ModelFormatError(f"integer id {a.var} out of range")
-                if a.op not in (LE, GE, EQ):
-                    raise ModelFormatError(f"bad comparison op {a.op!r}")
-
-        def check_terms(terms: tuple[Term, ...]) -> None:
-            for t in terms:
-                if t.space == BOOL:
-                    if not 0 <= t.var < self.n_bools:
-                        raise ModelFormatError(f"boolean id {t.var} out of range")
-                elif t.space == INT:
-                    if not 0 <= t.var < self.n_ints:
-                        raise ModelFormatError(f"integer id {t.var} out of range")
-                else:
-                    raise ModelFormatError(f"bad variable space {t.space!r}")
-
-        def check_body(c: Union[Clause, Lin]) -> None:
-            if isinstance(c, Clause):
-                for lit in c.lits:
-                    check_atom(lit)
-            else:
-                if c.op not in (LE, EQ):
-                    raise ModelFormatError(f"bad linear op {c.op!r}")
-                check_terms(c.terms)
-
+        One flat pass over the rows; the first offending atom or term, in
+        row order and left to right within a row, decides the error."""
+        nb, ni = len(self.bool_names), len(self.int_decls)
         for con in self.constraints:
-            if isinstance(con, (Clause, Lin)):
-                check_body(con)
-            elif isinstance(con, Implies):
-                for a in con.guard:
-                    check_atom(a)
-                check_body(con.body)
+            lin = None
+            if isinstance(con, Implies):
+                body = con.body
+                if isinstance(body, Clause):
+                    atom_groups = (con.guard, body.lits)
+                else:
+                    atom_groups, lin = (con.guard,), body
+            elif isinstance(con, (Clause, ExactlyOne)):
+                atom_groups = (con.lits,)
+            elif isinstance(con, Lin):
+                atom_groups, lin = (), con
             elif isinstance(con, IffConj):
-                check_atom(con.lit)
-                for a in con.atoms:
-                    check_atom(a)
-            elif isinstance(con, ExactlyOne):
-                for lit in con.lits:
-                    check_atom(lit)
+                atom_groups = ((con.lit,), con.atoms)
             else:
                 raise ModelFormatError(f"unknown constraint type {type(con).__name__}")
+            for atoms in atom_groups:
+                for a in atoms:
+                    if isinstance(a, Lit):
+                        if not 0 <= a.var < nb:
+                            raise ModelFormatError(f"boolean id {a.var} out of range")
+                    elif not 0 <= a.var < ni:
+                        raise ModelFormatError(f"integer id {a.var} out of range")
+                    elif a.op not in _CMP_OPS:
+                        raise ModelFormatError(f"bad comparison op {a.op!r}")
+            if lin is not None:
+                if lin.op not in _LIN_OPS:
+                    raise ModelFormatError(f"bad linear op {lin.op!r}")
+                _check_terms(lin.terms, nb, ni)
         if self.objective is not None:
-            check_terms(self.objective)
+            _check_terms(self.objective, nb, ni)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CspModel):
@@ -238,47 +241,78 @@ def export_model(m: CspModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_atom(token: str) -> Atom:
-    if token.startswith(("+b", "-b")):
-        return Lit(int(token[2:]), token[0] == "+")
-    for sym, op in (("<=", LE), (">=", GE), ("==", EQ)):
-        if sym in token:
-            left, right = token.split(sym, 1)
-            if not left.startswith("i"):
-                raise ModelFormatError(f"bad atom token {token!r}")
-            return Cmp(int(left[1:]), op, int(right))
-    raise ModelFormatError(f"bad atom token {token!r}")
+_INTEGER = re.compile(r"-?[0-9]+")
+_LIT_TOKEN = re.compile(r"([+-])b(-?[0-9]+)")
+_CMP_TOKEN = re.compile(r"i(-?[0-9]+)(<=|>=|==)(-?[0-9]+)")
+_TERM_TOKEN = re.compile(r"(-?[0-9]+)\*([bi])(-?[0-9]+)")
+_CMP_SYMBOLS = {"<=": LE, ">=": GE, "==": EQ}
+
+
+def _int(token: str) -> int:
+    if not _INTEGER.fullmatch(token):
+        raise ModelFormatError(f"expected an integer, got {token!r}")
+    return int(token)
 
 
 def _parse_lit(token: str) -> Lit:
-    atom = _parse_atom(token)
-    if not isinstance(atom, Lit):
+    lit = _LIT_TOKEN.fullmatch(token)
+    if lit is None:
         raise ModelFormatError(f"expected a boolean literal, got {token!r}")
-    return atom
+    return Lit(int(lit[2]), lit[1] == "+")
+
+
+def _parse_atom(token: str) -> Atom:
+    lit = _LIT_TOKEN.fullmatch(token)
+    if lit is not None:
+        return Lit(int(lit[2]), lit[1] == "+")
+    cmp = _CMP_TOKEN.fullmatch(token)
+    if cmp is None:
+        raise ModelFormatError(f"bad atom token {token!r}")
+    return Cmp(int(cmp[1]), _CMP_SYMBOLS[cmp[2]], int(cmp[3]))
 
 
 def _parse_term(token: str) -> Term:
-    if "*" not in token:
+    term = _TERM_TOKEN.fullmatch(token)
+    if term is None:
         raise ModelFormatError(f"bad term token {token!r}")
-    coef_text, var_text = token.split("*", 1)
-    if var_text[0] not in (BOOL, INT):
-        raise ModelFormatError(f"bad term token {token!r}")
-    return Term(int(coef_text), var_text[0], int(var_text[1:]))
+    return Term(int(term[1]), term[2], int(term[3]))
 
 
-def _parse_body(tokens: list[str]) -> Union[Clause, Lin]:
-    kind = tokens[0]
+def _counted(tokens: list[str], i: int, line: str) -> tuple[list[str], list[str]]:
+    """Split off the items whose count is declared at ``tokens[i]``; every
+    declared item must be present.  Returns (items, the tokens after them)."""
+    count = tokens[i] if i < len(tokens) else ""
+    if not (count.isascii() and count.isdigit()):
+        raise ModelFormatError(f"bad item count {count!r} in {line!r}")
+    n = int(count)
+    items = tokens[i + 1 : i + 1 + n]
+    if len(items) != n:
+        raise ModelFormatError(f"line declares {n} items but has {len(items)}: {line!r}")
+    return items, tokens[i + 1 + n :]
+
+
+def _exactly(tokens: list[str], i: int, line: str) -> list[str]:
+    """Like :func:`_counted`, for a count that must end the line."""
+    items, rest = _counted(tokens, i, line)
+    if rest:
+        raise ModelFormatError(f"line declares {len(items)} items but has more: {line!r}")
+    return items
+
+
+def _parse_body(tokens: list[str], line: str) -> Union[Clause, Lin]:
+    kind = tokens[0] if tokens else None
     if kind == "clause":
-        n = int(tokens[1])
-        return Clause(tuple(_parse_lit(t) for t in tokens[2 : 2 + n]))
-    if kind == "lin":
-        op, const, n = tokens[1], int(tokens[2]), int(tokens[3])
-        return Lin(tuple(_parse_term(t) for t in tokens[4 : 4 + n]), op, const)
-    raise ModelFormatError(f"bad constraint body {tokens!r}")
+        return Clause(tuple(_parse_lit(t) for t in _exactly(tokens, 1, line)))
+    if kind == "lin" and len(tokens) >= 3:
+        terms = _exactly(tokens, 3, line)
+        return Lin(tuple(_parse_term(t) for t in terms), tokens[1], _int(tokens[2]))
+    raise ModelFormatError(f"bad constraint body in {line!r}")
 
 
 def parse_model(text: str) -> CspModel:
-    """Parse the canonical text form back into an equal model."""
+    """Parse the canonical text form back into an equal model.  Every
+    declared count must match the tokens that follow it; any malformed line
+    raises ModelFormatError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["cspmodel", "1"]:
         raise ModelFormatError("missing 'cspmodel 1' header")
@@ -293,23 +327,24 @@ def parse_model(text: str) -> CspModel:
         elif kind == "int":
             if len(tokens) != 4:
                 raise ModelFormatError(f"bad int line {ln!r}")
-            m.new_int(tokens[3], int(tokens[1]), int(tokens[2]))
+            lo, hi = _int(tokens[1]), _int(tokens[2])
+            if lo > hi:
+                raise ModelFormatError(f"empty domain in {ln!r}")
+            m.new_int(tokens[3], lo, hi)
         elif kind in ("clause", "lin"):
-            m.add(_parse_body(tokens))
+            m.add(_parse_body(tokens, ln))
         elif kind == "imp":
-            n = int(tokens[1])
-            guard = tuple(_parse_atom(t) for t in tokens[2 : 2 + n])
-            m.add(Implies(guard, _parse_body(tokens[2 + n :])))
+            guard, body = _counted(tokens, 1, ln)
+            m.add(Implies(tuple(_parse_atom(t) for t in guard), _parse_body(body, ln)))
         elif kind == "iff":
-            lit = _parse_lit(tokens[1])
-            n = int(tokens[2])
-            m.add(IffConj(lit, tuple(_parse_atom(t) for t in tokens[3 : 3 + n])))
+            atoms = _exactly(tokens, 2, ln)
+            m.add(IffConj(_parse_lit(tokens[1]), tuple(_parse_atom(t) for t in atoms)))
         elif kind == "exactone":
-            n = int(tokens[1])
-            m.add(ExactlyOne(tuple(_parse_lit(t) for t in tokens[2 : 2 + n])))
+            m.add(ExactlyOne(tuple(_parse_lit(t) for t in _exactly(tokens, 1, ln))))
         elif kind == "minimize":
-            n = int(tokens[1])
-            m.minimize(_parse_term(t) for t in tokens[2 : 2 + n])
+            if m.objective is not None:
+                raise ModelFormatError(f"second objective line {ln!r}")
+            m.minimize(_parse_term(t) for t in _exactly(tokens, 1, ln))
         else:
             raise ModelFormatError(f"unknown line kind {kind!r}")
     m.check_well_formed()

@@ -7,7 +7,9 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Optional
 
 
 class DomainFormatError(ValueError):
@@ -87,17 +89,40 @@ class Domain:
     def fluent_map(self) -> dict[str, Fluent]:
         return {f.name: f for f in self.fluents}
 
-    def skill_map(self) -> dict[str, Skill]:
-        return {s.name: s for s in self.skills}
+    def skill_map(self) -> Mapping[str, Skill]:
+        """Skills by name: a read-only view of a table built once per domain."""
+        return MappingProxyType(self._skill_by_name)
 
     def interferers(self, fluent: str) -> frozenset[str]:
-        out = set()
+        return self._interferers.get(fluent, frozenset())
+
+    # Lookup tables, built on first use.  The fields are immutable, so a
+    # table can never go stale; dataclass equality and hashing ignore them.
+
+    @cached_property
+    def _skill_by_name(self) -> dict[str, Skill]:
+        return {s.name: s for s in self.skills}
+
+    @cached_property
+    def _interferers(self) -> dict[str, frozenset[str]]:
+        out: dict[str, set[str]] = {}
         for a, b in self.interference:
-            if a == fluent:
-                out.add(b)
-            elif b == fluent:
-                out.add(a)
-        return frozenset(out)
+            out.setdefault(a, set()).add(b)
+            out.setdefault(b, set()).add(a)
+        return {name: frozenset(names) for name, names in out.items()}
+
+    @cached_property
+    def _movers(self) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+        """Per skill name, the fluents it can raise and those it can lower."""
+        out = {}
+        for s in self.skills:
+            resources = equals_resources(s)
+            raised = s.raises | resources
+            lowered = set(resources)
+            for fluent in raised:
+                lowered.update(self.interferers(fluent))
+            out[s.name] = (raised, frozenset(lowered))
+        return out
 
     def max_delay(self) -> int:
         durations = [s.duration for s in self.skills if s.duration is not None]
@@ -306,9 +331,10 @@ def _check_references(d: Domain) -> None:
         for name in (a, b):
             if name not in declared:
                 raise DomainFormatError("$.interference", f"unknown fluent {name!r}")
+    skill_set = set(skill_names)
     for ta in d.temporal_actions:
         for name in ta.skills:
-            if name not in set(skill_names):
+            if name not in skill_set:
                 raise DomainFormatError(
                     f"$.temporal_actions[{ta.name}]", f"unknown skill {name!r}"
                 )
@@ -436,17 +462,13 @@ def equals_resources(skill: Skill) -> frozenset[str]:
 def raises_of(d: Domain, skill_name: str) -> frozenset[str]:
     """Fluents the skill can push to true: declared raises plus any
     equality-bound resources (those toggle both ways inside the action)."""
-    skill = d.skill_map()[skill_name]
-    return skill.raises | equals_resources(skill)
+    return d._movers[skill_name][0]
 
 
 def lowers(d: Domain, skill_name: str) -> frozenset[str]:
     """Fluents the skill can push to false: everything interfering with a
     raised fluent, plus equality-bound resources."""
-    skill = d.skill_map().get(skill_name)
-    if skill is None:
+    movers = d._movers.get(skill_name)
+    if movers is None:
         raise KeyError(f"unknown skill: {skill_name!r}")
-    out = set(equals_resources(skill))
-    for raised in raises_of(d, skill_name):
-        out.update(d.interferers(raised))
-    return frozenset(out)
+    return movers[1]

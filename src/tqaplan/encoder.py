@@ -51,6 +51,15 @@ class Encoder:
             self.model.new_int(name, lo, hi)
         self._contains_id: dict[tuple[int, int, int], int] = {}
         self._interior_id: dict[tuple[int, int, int], int] = {}
+        # per fluent, the skill actions that can raise / lower it, in action order
+        self._raisers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
+        self._lowerers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
+        for ai in self._skill_action_indices():
+            skill_name = shape.actions[ai].name
+            for fluent in raises_of(shape.domain, skill_name):
+                self._raisers[fluent].append(ai)
+            for fluent in lowers(shape.domain, skill_name):
+                self._lowerers[fluent].append(ai)
 
     # -- shared lookups -----------------------------------------------------
 
@@ -469,24 +478,16 @@ class Encoder:
         shape, m = self.shape, self.model
         n = shape.n_stages
         domain = shape.domain
-        raisers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
-        lowerers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
-        for ai in self._skill_action_indices():
-            skill_name = shape.actions[ai].name
-            for fluent in raises_of(domain, skill_name):
-                raisers[fluent].append(ai)
-            for fluent in lowers(domain, skill_name):
-                lowerers[fluent].append(ai)
 
         for fluent in shape.fluent_names:
             for t in range(1, n + 1):
                 rise_lits = [self._flow(fluent, t, 0, 1).negate()]
-                for ai in raisers[fluent]:
+                for ai in self._raisers[fluent]:
                     for k in shape.copies():
                         rise_lits.append(self.contains_lit(ai, k, t))
                 m.add(Clause(tuple(rise_lits)))
                 fall_lits = [self._flow(fluent, t, 1, 0).negate()]
-                for ai in lowerers[fluent]:
+                for ai in self._lowerers[fluent]:
                     for k in shape.copies():
                         fall_lits.append(self.contains_lit(ai, k, t))
                 m.add(Clause(tuple(fall_lits)))
@@ -539,19 +540,12 @@ class Encoder:
         strictly inside the provider's span otherwise)."""
         shape, m = self.shape, self.model
         domain = shape.domain
-        skill_idx = self._skill_action_indices()
-
-        def raiser_indices(fluent: str) -> list[int]:
-            return [
-                ai for ai in skill_idx
-                if fluent in raises_of(domain, shape.actions[ai].name)
-            ]
 
         for fluent in shape.fluent_names:
             if fluent in domain.goal and fluent not in domain.init:
                 lits = tuple(
                     Lit(shape.use_id[(ai, k)])
-                    for ai in raiser_indices(fluent)
+                    for ai in self._raisers[fluent]
                     for k in shape.copies()
                 )
                 m.add(Clause(lits))
@@ -559,12 +553,12 @@ class Encoder:
         if shape.copy_cap != 1:
             return
         roles = {f.name: f.role for f in domain.fluents}
-        for ai in skill_idx:
+        for ai in self._skill_action_indices():
             skill = shape.skill_of(shape.actions[ai])
             for spec in skill.constraints:
                 if spec.rel is ConstraintRel.EQUALS or spec.fluent in domain.init:
                     continue
-                providers = raiser_indices(spec.fluent)
+                providers = self._raisers[spec.fluent]
                 if len(providers) != 1:
                     continue
                 bi = providers[0]

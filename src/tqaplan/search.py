@@ -159,6 +159,7 @@ class FindOutcome:
     wall_time: float = 0.0
     minimal_n_guaranteed: bool = True
     model_stats: tuple[int, int] = (0, 0)  # (bools, ints) of the solved model
+    last_n: Optional[int] = None  # the last stage count probed
 
     @property
     def found(self) -> bool:
@@ -192,11 +193,15 @@ def find_plan(
     """
     if limits.max_n < 1:
         raise ValueError("max_n must be at least 1")
+    if limits.horizon is not None and limits.horizon < 1:
+        raise ValueError("horizon must be at least 1")
     started = time.monotonic()
     total_nodes = 0
+    last_n = None
     for n in _n_schedule(limits.max_n, geometric):
         if limits.horizon is not None and limits.horizon < n:
             break
+        last_n = n
         shape = instantiate(d, n, limits.copy_cap, limits.horizon)
         model = encode(shape, objective)
         remaining = limits.time_budget - (time.monotonic() - started)
@@ -206,6 +211,7 @@ def find_plan(
                 nodes=total_nodes,
                 wall_time=time.monotonic() - started,
                 minimal_n_guaranteed=not geometric,
+                last_n=n,
             )
         result = solve(model, replace(cfg, time_budget=remaining))
         total_nodes += result.nodes
@@ -215,6 +221,7 @@ def find_plan(
                 nodes=total_nodes,
                 wall_time=time.monotonic() - started,
                 minimal_n_guaranteed=not geometric,
+                last_n=n,
             )
         if result.is_sat:
             plan, diagram = decode(shape, result.assignment)
@@ -230,12 +237,14 @@ def find_plan(
                 time.monotonic() - started,
                 minimal_n_guaranteed=not geometric,
                 model_stats=(model.n_bools, model.n_ints),
+                last_n=n,
             )
     return FindOutcome(
         EXHAUSTED,
         nodes=total_nodes,
         wall_time=time.monotonic() - started,
         minimal_n_guaranteed=not geometric,
+        last_n=last_n,
     )
 
 

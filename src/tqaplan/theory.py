@@ -9,7 +9,7 @@ across growing horizons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .domain import Domain, Skill, TemporalAction, validate_domain
 
@@ -52,6 +52,9 @@ class TheoryShape:
     end_id: dict[tuple[int, int], int] = field(default_factory=dict)
     boundary_id: dict[int, int] = field(default_factory=dict)
     split_id: dict[tuple[str, int], int] = field(default_factory=dict)
+    action_id: dict[tuple[str, int], int] = field(default_factory=dict)
+    skill_by_name: Mapping[str, Skill] = field(default_factory=dict)
+    temporal_by_name: dict[str, TemporalAction] = field(default_factory=dict)
 
     @property
     def fluent_names(self) -> list[str]:
@@ -61,16 +64,16 @@ class TheoryShape:
         return range(1, self.copy_cap + 1)
 
     def skill_of(self, ref: ActionRef) -> Skill:
-        return self.domain.skill_map()[ref.name]
+        return self.skill_by_name[ref.name]
 
     def temporal_of(self, ref: ActionRef) -> TemporalAction:
-        return next(t for t in self.domain.temporal_actions if t.name == ref.name)
+        return self.temporal_by_name[ref.name]
 
     def action_index(self, name: str, actor: int) -> int:
-        for i, ref in enumerate(self.actions):
-            if ref.name == name and ref.actor == actor:
-                return i
-        raise KeyError(f"no ground action {name}@{actor}")
+        ai = self.action_id.get((name, actor))
+        if ai is None:
+            raise KeyError(f"no ground action {name}@{actor}")
+        return ai
 
 
 def effective_copy_cap(requested: Optional[int], n_stages: int) -> int:
@@ -125,6 +128,12 @@ def instantiate(
     shape = TheoryShape(domain, n_stages, cap, horizon, ground_actions(domain))
     n, h = n_stages, horizon
     fluents = shape.fluent_names
+    shape.skill_by_name = domain.skill_map()
+    # first match wins, as a scan in declaration order would find it
+    for ai, ref in enumerate(shape.actions):
+        shape.action_id.setdefault((ref.name, ref.actor), ai)
+    for ta in domain.temporal_actions:
+        shape.temporal_by_name.setdefault(ta.name, ta)
 
     def new_bool(name: str) -> int:
         shape.bool_names.append(name)

@@ -136,15 +136,10 @@ def _coverage_fault(fluent: str, segments: Sequence[Segment], total: int) -> Opt
     return None
 
 
-def _movers(d: Domain) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-    """Per skill, the fluents it can raise and the fluents it can lower."""
-    return {s.name: (raises_of(d, s.name), lowers(d, s.name)) for s in d.skills}
-
-
-def _mover_spans(fluent: str, skill_entries, movers) -> tuple[list[Interval], list[Interval]]:
+def _mover_spans(d: Domain, fluent: str, skill_entries) -> tuple[list[Interval], list[Interval]]:
     """Spans of the skill entries that can raise, and that can lower, the fluent."""
-    raisers = [iv for key, iv in skill_entries if fluent in movers[key.name][0]]
-    lowerers = [iv for key, iv in skill_entries if fluent in movers[key.name][1]]
+    raisers = [iv for key, iv in skill_entries if fluent in raises_of(d, key.name)]
+    lowerers = [iv for key, iv in skill_entries if fluent in lowers(d, key.name)]
     return raisers, lowerers
 
 
@@ -222,7 +217,6 @@ def validate_plan(d: Domain, plan: Plan) -> ValidationReport:
         if fluent in d.goal and not segments[-1].truth:
             add(Violation("terminal-condition", (fluent,), f"{fluent!r} must end true"))
 
-    movers = _movers(d)
     skill_entries = [
         (key, Interval(*span))
         for key, span in sorted(plan.action_entries.items(), key=lambda kv: kv[0].label())
@@ -230,7 +224,7 @@ def validate_plan(d: Domain, plan: Plan) -> ValidationReport:
     ]
     for fluent in sorted(declared):
         rises, falls = _unjustified(
-            true[fluent], total, *_mover_spans(fluent, skill_entries, movers)
+            true[fluent], total, *_mover_spans(d, fluent, skill_entries)
         )
         for x in rises:
             add(
@@ -570,7 +564,6 @@ def enumerate_models(
 
     best_makespan: Optional[int] = None
     best_witness: Optional[Plan] = None
-    movers = _movers(d)
     flow_cache: dict[tuple, list[tuple]] = {}
 
     for boundaries in boundary_vectors:
@@ -605,7 +598,7 @@ def enumerate_models(
             ]
             survivors: list[list] = []
             for fluent in fluents:
-                raisers, lowerers = _mover_spans(fluent, skill_entries, movers)
+                raisers, lowerers = _mover_spans(d, fluent, skill_entries)
                 specs = [
                     (span.left, span.right, spec.rel)
                     for key, span in skill_entries

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from tqaplan.cli import CSV_COLUMNS, main
 
@@ -115,3 +121,99 @@ def test_solve_output_idempotent(tmp_path, capsys):
     assert run(["solve", domain, "--max-copies", "1", "--plan-out", first]) == 0
     assert run(["solve", domain, "--max-copies", "1", "--plan-out", second]) == 0
     assert first.read_text() == second.read_text()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+NO_RAISER = (
+    '{"fluents": ["g"], "skills": [{"name": "a", "kind": "delay", "duration": 2}],'
+    ' "goal": ["g"]}'
+)
+
+
+def _solved_gadget(tmp_path):
+    domain, plan = tmp_path / "g.json", tmp_path / "g.plan.json"
+    assert run(["gen", "--type", "I", "--copies", "1", "--out", domain]) == 0
+    assert run(["solve", domain, "--max-copies", "1", "--plan-out", plan]) == 0
+    return domain, plan
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("command", ["validate", "gen", "encode"])
+def test_closed_stdout_exits_quietly(tmp_path, command, buffered):
+    domain, plan = _solved_gadget(tmp_path)
+    argv = {
+        "validate": ["validate", domain, plan],
+        "gen": ["gen", "--type", "I", "--copies", "2"],
+        "encode": ["encode", domain, "--n", "2"],
+    }[command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    # buffered: the broken pipe shows at the final flush; unbuffered: at the first print
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the reading end is closed before the command starts, so its first
+    # write to stdout meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "tqaplan.cli", *map(str, argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--max-copies", "0"], ["--max-n", "0"], ["--time-budget", "0"], ["--horizon", "0"]],
+)
+def test_bad_flag_values_are_input_errors(tmp_path, capsys, flags):
+    domain = tmp_path / "d.json"
+    domain.write_text(NO_RAISER)
+    assert run(["solve", domain, *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bench_bad_flag_value_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["bench", "--type", "I", "--copies", "1", "--max-copies", "0", "--out", out]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_directory_paths_are_input_errors(tmp_path, capsys):
+    domain, plan = _solved_gadget(tmp_path)
+    capsys.readouterr()
+    for argv in (
+        ["solve", tmp_path],
+        ["encode", tmp_path],
+        ["validate", tmp_path, plan],
+        ["validate", domain, tmp_path],
+    ):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exhaustion_names_the_last_probed_stage_count(tmp_path, capsys):
+    domain = tmp_path / "d.json"
+    domain.write_text(NO_RAISER)
+    cases = (
+        (["--horizon", "2"], "no plan up to 2 stages (--horizon 2 admits no more stages)"),
+        (["--max-n", "3"], "no plan up to 3 stages (--max-n 3 reached)"),
+        (["--max-n", "3", "--horizon", "5"], "no plan up to 3 stages (--max-n 3 reached)"),
+        (["--max-n", "5", "--geometric-n"], "no plan up to 4 stages (--max-n 5 reached)"),
+    )
+    for flags, message in cases:
+        assert run(["solve", domain, *flags]) == 1
+        assert capsys.readouterr().err.strip() == message

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from randgen import random_small_model
 from tqaplan.cpmodel import (
     BOOL,
     EQ,
@@ -75,3 +78,198 @@ def test_well_formedness_checks():
         CspModel().new_int("x", 3, 1)
     with pytest.raises(ValueError):
         CspModel().new_bool("has space")
+
+
+HEADER = "cspmodel 1\nbool b0\nbool b1\nint 0 3 x\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "clause 3 +b0",  # declares 3 literals, gives 1
+        "clause 1 +b0 +b1",  # declares 1, gives 2
+        "clause x +b0",
+        "clause -1",
+        "clause 1 +b",
+        "clause 1 i0<=2",  # a clause holds boolean literals only
+        "int 0 a y",
+        "int 3 1 y",  # empty domain
+        "int 0 1",
+        "bool",
+        "bool a b",
+        "imp",
+        "imp x",
+        "imp 1 +b0",
+        "imp 1 +b0 clause",
+        "imp 1 +b0 clause 2 +b1",
+        "imp 2 +b0 clause 1 +b1",
+        "iff",
+        "iff +b0",
+        "iff +b0 2 +b1",
+        "iff i0==1 0",
+        "exactone 2 +b0",
+        "exactone 1 +b0 +b1",
+        "lin",
+        "lin le",
+        "lin le 0 1",
+        "lin le 0 1 1*b0 1*b1",
+        "lin le z 1 1*b0",
+        "lin ge 0 1 1*b0",
+        "minimize 1 3*",
+        "minimize 1 3*b",
+        "minimize 1 x*b0",
+        "minimize 1 1*q0",
+        "minimize 1 1*b0\nminimize 1 1*b1",
+        "clause 1 i0<=y",
+        "clause 1_0",
+    ],
+)
+def test_parse_rejects_every_malformed_line(line):
+    with pytest.raises(ModelFormatError):
+        parse_model(HEADER + line + "\n")
+
+
+def test_parse_accepts_empty_counts():
+    m = parse_model(
+        HEADER + "clause 0\nexactone 0\niff +b0 0\nimp 0 lin le 3 1 1*i0\nminimize 0\n"
+    )
+    assert parse_model(export_model(m)) == m
+
+
+def _reference_check(m: CspModel) -> None:
+    """The nested per-atom well-formedness check, kept as the reference for
+    the flat one."""
+
+    def check_atom(a):
+        if isinstance(a, Lit):
+            if not 0 <= a.var < m.n_bools:
+                raise ModelFormatError(f"boolean id {a.var} out of range")
+        else:
+            if not 0 <= a.var < m.n_ints:
+                raise ModelFormatError(f"integer id {a.var} out of range")
+            if a.op not in (LE, GE, EQ):
+                raise ModelFormatError(f"bad comparison op {a.op!r}")
+
+    def check_terms(terms):
+        for t in terms:
+            if t.space == BOOL:
+                if not 0 <= t.var < m.n_bools:
+                    raise ModelFormatError(f"boolean id {t.var} out of range")
+            elif t.space == INT:
+                if not 0 <= t.var < m.n_ints:
+                    raise ModelFormatError(f"integer id {t.var} out of range")
+            else:
+                raise ModelFormatError(f"bad variable space {t.space!r}")
+
+    def check_body(c):
+        if isinstance(c, Clause):
+            for lit in c.lits:
+                check_atom(lit)
+        else:
+            if c.op not in (LE, EQ):
+                raise ModelFormatError(f"bad linear op {c.op!r}")
+            check_terms(c.terms)
+
+    for con in m.constraints:
+        if isinstance(con, (Clause, Lin)):
+            check_body(con)
+        elif isinstance(con, Implies):
+            for a in con.guard:
+                check_atom(a)
+            check_body(con.body)
+        elif isinstance(con, IffConj):
+            check_atom(con.lit)
+            for a in con.atoms:
+                check_atom(a)
+        elif isinstance(con, ExactlyOne):
+            for lit in con.lits:
+                check_atom(lit)
+        else:
+            raise ModelFormatError(f"unknown constraint type {type(con).__name__}")
+    if m.objective is not None:
+        check_terms(m.objective)
+
+
+def _verdict(check, m):
+    try:
+        check(m)
+    except ModelFormatError as exc:
+        return str(exc)
+    return None
+
+
+def _corrupt(rng: random.Random, m: CspModel) -> None:
+    """Replace a few random pieces with out-of-range ids, bad ops or spaces."""
+
+    def bad_atom(a):
+        roll = rng.random()
+        if isinstance(a, Lit):
+            return Lit(rng.choice((-1, m.n_bools, m.n_bools + 5)), a.val)
+        if roll < 0.5:
+            return Cmp(rng.choice((-1, m.n_ints)), a.op, a.k)
+        return Cmp(a.var, "ne", a.k)
+
+    def bad_terms(terms):
+        i = rng.randrange(len(terms))
+        t = terms[i]
+        roll = rng.random()
+        if roll < 0.4:
+            t = Term(t.coef, t.space, -1 if rng.random() < 0.5 else 99)
+        elif roll < 0.7:
+            t = Term(t.coef, "q", t.var)
+        return terms[:i] + (t,) + terms[i + 1 :]
+
+    def bad_atoms(atoms):
+        if not atoms:
+            return atoms
+        i = rng.randrange(len(atoms))
+        return atoms[:i] + (bad_atom(atoms[i]),) + atoms[i + 1 :]
+
+    def bad_body(body):
+        if isinstance(body, Clause):
+            return Clause(bad_atoms(body.lits))
+        if rng.random() < 0.3:
+            return Lin(body.terms, "ge", body.const)
+        return Lin(bad_terms(body.terms), body.op, body.const)
+
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(m.constraints))
+        con = m.constraints[i]
+        if isinstance(con, (Clause, Lin)):
+            con = bad_body(con)
+        elif isinstance(con, Implies):
+            con = Implies(bad_atoms(con.guard), con.body) if rng.random() < 0.5 else Implies(
+                con.guard, bad_body(con.body)
+            )
+        elif isinstance(con, IffConj):
+            if rng.random() < 0.3:
+                con = IffConj(bad_atom(con.lit), con.atoms)
+            else:
+                con = IffConj(con.lit, bad_atoms(con.atoms))
+        else:
+            con = ExactlyOne(bad_atoms(con.lits))
+        m.constraints[i] = con
+    if m.objective and rng.random() < 0.3:
+        m.objective = bad_terms(m.objective)
+    if rng.random() < 0.1:
+        m.constraints.insert(rng.randrange(len(m.constraints) + 1), "not a constraint")
+
+
+def test_flat_check_matches_the_nested_reference():
+    """Same verdict and same message (so the same first offending row and
+    atom) as the per-atom reference, on clean and corrupted models."""
+    rng = random.Random(11)
+    rejected = 0
+    for _ in range(2000):
+        m = random_small_model(rng)
+        # random_small_model guards only linear bodies; add clause bodies too
+        if rng.random() < 0.5:
+            lits = tuple(Lit(rng.randrange(m.n_bools)) for _ in range(rng.randrange(1, 3)))
+            guard = (Lit(0), Cmp(0, LE, 1))[: rng.randrange(1, 3)]
+            m.add(Implies(guard, Clause(lits)))
+        if rng.random() < 0.8:
+            _corrupt(rng, m)
+        expected = _verdict(_reference_check, m)
+        assert _verdict(CspModel.check_well_formed, m) == expected
+        rejected += expected is not None
+    assert rejected > 1000

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from randgen import random_tiny_domain
+from tqaplan.benchgen import GadgetSpec, gen_cushing
 from tqaplan.domain import (
     ConstraintRel,
     ConstraintSpec,
@@ -163,3 +167,50 @@ def test_equals_registers_both_transitions():
     )
     assert raises_of(d, "a") == frozenset({"w"})
     assert lowers(d, "a") == frozenset({"w"})
+
+
+def _raises_from_scratch(d: Domain, name: str) -> frozenset[str]:
+    skill = next(s for s in reversed(d.skills) if s.name == name)
+    return skill.raises | frozenset(
+        c.fluent for c in skill.constraints if c.rel is ConstraintRel.EQUALS
+    )
+
+
+def _lowers_from_scratch(d: Domain, name: str) -> frozenset[str]:
+    skill = next(s for s in reversed(d.skills) if s.name == name)
+    out = {c.fluent for c in skill.constraints if c.rel is ConstraintRel.EQUALS}
+    for raised in _raises_from_scratch(d, name):
+        for a, b in d.interference:
+            if a == raised:
+                out.add(b)
+            elif b == raised:
+                out.add(a)
+    return frozenset(out)
+
+
+def test_lookup_tables_match_their_definitions():
+    """The per-domain tables behind skill_map/raises_of/lowers/interferers
+    agree with the definitions recomputed from the domain's fields."""
+    domains = [random_tiny_domain(random.Random(seed)) for seed in range(300)]
+    domains += [
+        gen_cushing(GadgetSpec(*spec)) for spec in (("I", 4, None), ("II", 2, 3), ("III", 2, 2))
+    ]
+    for d in domains:
+        assert dict(d.skill_map()) == {s.name: s for s in d.skills}
+        for s in d.skills:
+            assert raises_of(d, s.name) == _raises_from_scratch(d, s.name)
+            assert lowers(d, s.name) == _lowers_from_scratch(d, s.name)
+        for f in d.fluents:
+            assert d.interferers(f.name) == frozenset(
+                b if a == f.name else a for a, b in d.interference if f.name in (a, b)
+            )
+    d = domains[0]
+    with pytest.raises(KeyError):
+        raises_of(d, "nope")
+    with pytest.raises(KeyError, match="unknown skill"):
+        lowers(d, "nope")
+    with pytest.raises(TypeError):
+        d.skill_map()["x"] = d.skills[0]  # the shared table is read-only
+    # the tables are not fields: equality, hashing and repr ignore them
+    twin = Domain(d.fluents, d.skills, d.actors, d.interference, d.temporal_actions, d.init, d.goal)
+    assert twin == d and hash(twin) == hash(d) and repr(twin) == repr(d)

@@ -3,10 +3,12 @@ partial assignments and checking what every surviving solution must satisfy."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 from randgen import random_tiny_domain
+from tqaplan.benchgen import GadgetSpec, gen_cushing
 from tqaplan.cpmodel import Clause, CspModel, ExactlyOne, Lin, Lit, Term, INT, EQ, export_model
 from tqaplan.domain import (
     ConstraintRel,
@@ -355,3 +357,41 @@ def test_oracle_equivalence_batch():
             assert res.is_sat == truth.is_sat
             checked += 1
     assert checked >= 60
+
+
+# sha256 of the concatenated export_model text over GOLDEN_GRID, computed on
+# the encoder before the domain/shape lookup tables were introduced
+GOLDEN_DIGEST = "a1d2259c695da14a7cf3057319ead2641bf4c4357638dfab1fb7b3da29fdb38e"
+# (type, copies, height), n*: the minimal stage count at copy cap 1
+GOLDEN_GRID = ((("I", 20, None), 4), (("II", 3, 3), 14), (("III", 3, 3), 17), (("II", 1, 2), 9))
+
+
+def test_models_are_byte_identical_to_the_golden_digest():
+    """Every model over the grid (caps 1, 2 and default, N = 1..n*, all
+    three objectives) exports to exactly the pinned text."""
+    digest = hashlib.sha256()
+    for spec, n_star in GOLDEN_GRID:
+        domain = gen_cushing(GadgetSpec(*spec))
+        for cap in (1, 2, None):
+            for n in range(1, n_star + 1):
+                shape = instantiate(domain, n, cap)
+                for objective in ("none", "costs", "makespan"):
+                    digest.update(export_model(encode(shape, objective)).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# the same, over random tiny domains: several raisers per fluent, equality
+# resources, interference and temporal actions, which the gadgets lack
+GOLDEN_TINY_DIGEST = "16b86e8ca8e81955cc0a3cecb57a3406b1013829d19a0ff41237535f2f6b3414"
+
+
+def test_tiny_domain_models_are_byte_identical_to_the_golden_digest():
+    digest = hashlib.sha256()
+    for seed in range(100):
+        domain = random_tiny_domain(random.Random(seed))
+        for cap in (1, 2, None):
+            for n in (1, 2, 3):
+                shape = instantiate(domain, n, cap)
+                for objective in ("none", "costs", "makespan"):
+                    digest.update(export_model(encode(shape, objective)).encode())
+    assert digest.hexdigest() == GOLDEN_TINY_DIGEST

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from randgen import random_tiny_domain
 from tqaplan.benchgen import GadgetSpec, gen_cushing
 from tqaplan.domain import Domain, Fluent, Skill, SkillKind
 from tqaplan.theory import InvalidDomainError, effective_copy_cap, instantiate
@@ -92,3 +95,24 @@ def test_ids_deterministic():
     assert a.bool_names == b.bool_names
     assert a.int_decls == b.int_decls
     assert a.flow_id == b.flow_id
+
+
+def test_action_and_temporal_lookups_match_a_scan():
+    domains = [gen_cushing(GadgetSpec(*spec)) for spec in (("I", 3, None), ("II", 2, 2))]
+    domains += [random_tiny_domain(random.Random(seed)) for seed in range(60)]
+    temporal_seen = 0
+    for domain in domains:
+        shape = instantiate(domain, 2, 1)
+        for ref in shape.actions:
+            first = next(
+                j for j, r in enumerate(shape.actions) if (r.name, r.actor) == (ref.name, ref.actor)
+            )
+            assert shape.action_index(ref.name, ref.actor) == first
+            if ref.kind == "temporal":
+                temporal_seen += 1
+                assert shape.temporal_of(ref) == next(
+                    t for t in domain.temporal_actions if t.name == ref.name
+                )
+        with pytest.raises(KeyError):
+            shape.action_index(shape.actions[0].name, domain.actors + 1)
+    assert temporal_seen > 0
