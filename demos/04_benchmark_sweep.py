@@ -3,7 +3,7 @@ sequenced instances need more stages, which is where the search effort goes."""
 
 import time
 
-from tqaplan import GadgetSpec, SearchLimits, SolverConfig, find_plan, gen_cushing, validate_plan
+from tqaplan import GadgetSpec, SearchLimits, find_plan, gen_cushing, validate_plan
 
 
 def run(spec: GadgetSpec) -> None:
@@ -11,8 +11,7 @@ def run(spec: GadgetSpec) -> None:
     started = time.perf_counter()
     outcome = find_plan(
         domain,
-        limits=SearchLimits(max_n=24, copy_cap=1),
-        cfg=SolverConfig(time_budget=120),
+        limits=SearchLimits(max_n=24, copy_cap=1, time_budget=120),
     )
     wall = time.perf_counter() - started
     verdict = "-"

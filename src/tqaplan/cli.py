@@ -3,9 +3,10 @@ validate plans, and run benchmark sweeps into a CSV.
 
 Exit codes for solve: 0 plan found, 1 stage counts exhausted, 2 resource
 limit, 3 input error.  Validate: 0 valid, 1 invalid, 3 malformed input.
-Every command exits 3 on an input error, with a one-line message on stderr,
-and 141 (128 + SIGPIPE, as a shell reports a process killed by a broken
-pipe) when its standard output is closed early.
+Every command exits 3 on an input error, a malformed or missing argument
+included, with a one-line message on stderr, and 141 (128 + SIGPIPE, as a
+shell reports a process killed by a broken pipe) when its standard output
+is closed early.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .search import (
     plan_from_document,
     plan_to_document,
 )
-from .solver import SolverConfig
 from .theory import instantiate
 from .validator import validate_plan
 
@@ -56,6 +56,14 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports argument errors as input errors (exit 3, one line), not with
+    argparse's usage block and exit 2, which solve uses for a resource limit."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _load_domain(path: str, strict: bool) -> Domain:
@@ -84,10 +92,6 @@ def _limits_from(args) -> SearchLimits:
     )
 
 
-def _config_from(args) -> SolverConfig:
-    return SolverConfig(time_budget=args.time_budget)
-
-
 def _run_record(instance: str, outcome: FindOutcome) -> dict:
     return {
         "instance": instance,
@@ -110,7 +114,6 @@ def cmd_solve(args) -> int:
         domain,
         objective=args.objective,
         limits=_limits_from(args),
-        cfg=_config_from(args),
         geometric=args.geometric_n,
     )
     print(json.dumps(_run_record(args.domain, outcome)))
@@ -193,7 +196,6 @@ def cmd_bench(args) -> int:
                 domain,
                 objective=args.objective,
                 limits=_limits_from(args),
-                cfg=_config_from(args),
                 geometric=args.geometric_n,
             )
             wall_ms = round((time.monotonic() - started) * 1000, 3)
@@ -248,7 +250,7 @@ def _add_common_solver_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tqaplan",
         description="Temporal planning via bounded interval-logic satisfiability",
     )
@@ -295,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; the only place that turns exceptions into exit codes."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -306,8 +308,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except (OSError, ValueError) as exc:
-        # unreadable paths, and documents or flag values the library rejects
-        # (every format error it raises is a ValueError)
+        # unreadable paths, malformed arguments, and documents or flag values
+        # the library rejects (every format error it raises is a ValueError)
         return _fail(str(exc))
     return code
 

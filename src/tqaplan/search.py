@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -143,10 +143,14 @@ def merge_segments(pieces: Iterable[Segment]) -> tuple[Segment, ...]:
 
 @dataclass(frozen=True)
 class SearchLimits:
+    """Bounds on the outer search.  The time budget covers the whole search;
+    the node budget applies to each stage-count probe on its own."""
+
     max_n: int = 20
     copy_cap: Optional[int] = None
     horizon: Optional[int] = None
     time_budget: float = 300.0
+    node_budget: int = 100_000_000
 
 
 @dataclass
@@ -180,21 +184,21 @@ def find_plan(
     d: Domain,
     objective: str = "none",
     limits: SearchLimits = SearchLimits(),
-    cfg: SolverConfig = SolverConfig(),
     geometric: bool = False,
 ) -> FindOutcome:
     """Probe stage counts in order and decode the first satisfiable theory.
 
     Each probe builds a fresh shape and model; with an objective the plan is
     optimal for the first satisfiable stage count only.  Geometric probing
-    skips stage counts, so it cannot guarantee the minimal one.  The limits'
-    time budget governs the whole search; each probe gets the remainder
-    (overriding the solver config's own budget).
+    skips stage counts, so it cannot guarantee the minimal one.  Each probe
+    gets the remainder of the limits' time budget and their full node budget.
     """
     if limits.max_n < 1:
         raise ValueError("max_n must be at least 1")
     if limits.horizon is not None and limits.horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if limits.time_budget <= 0 or limits.node_budget <= 0:
+        raise ValueError("budgets must be positive")
     started = time.monotonic()
     total_nodes = 0
     last_n = None
@@ -213,7 +217,9 @@ def find_plan(
                 minimal_n_guaranteed=not geometric,
                 last_n=n,
             )
-        result = solve(model, replace(cfg, time_budget=remaining))
+        result = solve(
+            model, SolverConfig(time_budget=remaining, node_budget=limits.node_budget)
+        )
         total_nodes += result.nodes
         if result.status == "limit":
             return FindOutcome(

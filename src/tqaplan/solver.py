@@ -2,10 +2,8 @@
 consistency, guard/reification propagation, and branch-and-bound
 optimization, plus an exhaustive enumeration oracle for small models.
 
-The engine compiles the model into flat tuples over a unified variable
-space (Booleans first, then integers) and fuses per-stage timestamp
-channelling rows into element-style propagators so that bounds jump
-instead of creeping across wide time domains.
+The engine compiles each row of the model, as written, into a flat tuple
+over a unified variable space (Booleans first, then integers).
 """
 
 from __future__ import annotations
@@ -18,10 +16,8 @@ from .cpmodel import (
     BOOL,
     EQ,
     GE,
-    INT,
     LE,
     Clause,
-    Cmp,
     CspModel,
     ExactlyOne,
     IffConj,
@@ -57,7 +53,6 @@ class GuardExceededError(ValueError):
 class SolverConfig:
     time_budget: float = 300.0
     node_budget: int = 100_000_000
-    branching: str = "actions_first"  # or "declaration"
 
     def __post_init__(self) -> None:
         if self.time_budget <= 0 or self.node_budget <= 0:
@@ -144,7 +139,7 @@ def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
 # -- propagation engine -------------------------------------------------------
 
 # compiled constraint tags
-_CL, _LE, _EQ2, _IMP, _IFF, _EX1, _ELEM = range(7)
+_CL, _LE, _EQ2, _IMP, _IFF, _EX1 = range(6)
 # atom ops (compiled)
 _OP_LE, _OP_GE, _OP_EQ = 0, 1, 2
 
@@ -154,7 +149,7 @@ _OP_CODE = {LE: _OP_LE, GE: _OP_GE, EQ: _OP_EQ}
 class _Engine:
     """Trail-based propagation and chronological backtracking search."""
 
-    def __init__(self, model: CspModel, branching: str):
+    def __init__(self, model: CspModel):
         model.check_well_formed()
         self.model = model
         self.nb = model.n_bools
@@ -171,11 +166,10 @@ class _Engine:
         # constraints observed satisfied sleep until the next backtrack
         self.epoch = 0
         self.sleep: list[int] = []
-        self._compile_all()
-        self.order = self._branch_order(branching)
-        self.prefer_true = [
-            model.bool_names[i].startswith(("u[", "uT[")) for i in range(self.nb)
-        ]
+        for con in model.constraints:
+            self._compile(con)
+        self.order = self._branch_order()
+        self.prefer_true = [name.startswith("u[") for name in model.bool_names]
 
     # -- compilation --------------------------------------------------------
 
@@ -203,18 +197,6 @@ class _Engine:
         for uid in set(uids):
             self.watchers[uid].append(idx)
 
-    def _compile_all(self) -> None:
-        fused, elements = _fuse_channels(self.model, self.nb)
-        for pos, con in enumerate(self.model.constraints):
-            if pos in fused:
-                continue
-            self._compile(con)
-        for u_uid, idx_uid, tgt_uid, t_min, b_uids in elements:
-            self._register(
-                (_ELEM, u_uid, idx_uid, tgt_uid, t_min, b_uids),
-                [u_uid, idx_uid, tgt_uid, *b_uids],
-            )
-
     def _compile(self, con) -> None:
         if isinstance(con, Clause):
             lits = tuple((l.var, 1 if l.val else 0) for l in con.lits)
@@ -240,15 +222,10 @@ class _Engine:
             lits = tuple((l.var, 1 if l.val else 0) for l in con.lits)
             self._register((_EX1, lits), [u for u, _ in lits])
 
-    def _branch_order(self, branching: str) -> list[int]:
-        if branching == "declaration":
-            return list(range(self.nv))
-        if branching != "actions_first":
-            raise ValueError(f"unknown branching {branching!r}")
-
+    def _branch_order(self) -> list[int]:
         def bool_rank(i: int) -> int:
             name = self.model.bool_names[i]
-            if name.startswith(("u[", "uT[")):
+            if name.startswith("u["):
                 return 0
             if name.startswith("flow["):
                 return 1
@@ -561,81 +538,6 @@ class _Engine:
             return True
         return False
 
-    def _prop_elem(self, u_uid, idx_uid, tgt_uid, t_min, b_uids) -> bool:
-        """Fused channelling: when the use literal holds, the target equals
-        the boundary selected by the index variable.  Bounds may be
-        transiently non-monotone mid-propagation, so min/max scans cover the
-        whole surviving index range (indices with incompatible boundaries at
-        the edges are sliced off)."""
-        lo, hi = self.lo, self.hi
-        if lo[u_uid] == 0:
-            # inactive until the use literal is decided true
-            return hi[u_uid] == 0
-        t_max = t_min + len(b_uids) - 1
-        t = lo[idx_uid]
-        if t == hi[idx_uid]:
-            # pinned index: plain two-way equality with the selected boundary
-            if t < t_min or t > t_max:
-                self.conflict = True
-                return False
-            b_uid = b_uids[t - t_min]
-            if lo[b_uid] > lo[tgt_uid]:
-                self._set_lo(tgt_uid, lo[b_uid])
-            elif lo[tgt_uid] > lo[b_uid]:
-                self._set_lo(b_uid, lo[tgt_uid])
-            if self.conflict:
-                return False
-            if hi[b_uid] < hi[tgt_uid]:
-                self._set_hi(tgt_uid, hi[b_uid])
-            elif hi[tgt_uid] < hi[b_uid]:
-                self._set_hi(b_uid, hi[tgt_uid])
-            return False
-        tlo = max(t, t_min)
-        thi = min(hi[idx_uid], t_max)
-        tgt_lo, tgt_hi = lo[tgt_uid], hi[tgt_uid]
-        while tlo <= thi:
-            b = b_uids[tlo - t_min]
-            if hi[b] < tgt_lo or lo[b] > tgt_hi:
-                tlo += 1
-            else:
-                break
-        while thi >= tlo:
-            b = b_uids[thi - t_min]
-            if hi[b] < tgt_lo or lo[b] > tgt_hi:
-                thi -= 1
-            else:
-                break
-        if tlo > thi:
-            self.conflict = True
-            return False
-        if tlo > lo[idx_uid]:
-            self._set_lo(idx_uid, tlo)
-            if self.conflict:
-                return False
-        if thi < hi[idx_uid]:
-            self._set_hi(idx_uid, thi)
-            if self.conflict:
-                return False
-        new_lo = min(lo[b_uids[t - t_min]] for t in range(tlo, thi + 1))
-        new_hi = max(hi[b_uids[t - t_min]] for t in range(tlo, thi + 1))
-        if new_lo > tgt_lo:
-            self._set_lo(tgt_uid, new_lo)
-            if self.conflict:
-                return False
-        if new_hi < tgt_hi:
-            self._set_hi(tgt_uid, new_hi)
-            if self.conflict:
-                return False
-        if tlo == thi:
-            b_uid = b_uids[tlo - t_min]
-            if lo[tgt_uid] > lo[b_uid]:
-                self._set_lo(b_uid, lo[tgt_uid])
-                if self.conflict:
-                    return False
-            if hi[tgt_uid] < hi[b_uid]:
-                self._set_hi(b_uid, hi[tgt_uid])
-        return False
-
     def propagate(self) -> bool:
         queue, queued, cons, sleep = self.queue, self.queued, self.cons, self.sleep
         epoch = self.epoch
@@ -660,10 +562,8 @@ class _Engine:
                     done = self._prop_lin_le(con[2], -con[3]) and done
             elif tag == _IFF:
                 done = self._prop_iff(con[1], con[2])
-            elif tag == _EX1:
-                done = self._prop_exone(con[1])
             else:
-                done = self._prop_elem(con[1], con[2], con[3], con[4], con[5])
+                done = self._prop_exone(con[1])
             if done and not self.conflict:
                 sleep[idx] = epoch
         if self.conflict:
@@ -753,63 +653,13 @@ class _Engine:
         self._register((_LE, compiled_terms, const), [u for _, u in compiled_terms])
 
 
-def _fuse_channels(model: CspModel, nb: int):
-    """Find groups of rows (u ∧ idx = t) → (tgt - b_t = 0) sharing (u, idx,
-    tgt) and fuse each group into one element propagator.  Returns the fused
-    constraint positions and the element tuples; groups must cover a
-    contiguous index range backed by monotonically ordered boundary
-    variables (guaranteed by the boundary chain)."""
-    groups: dict[tuple[int, int, int], dict[int, int]] = {}
-    positions: dict[tuple[int, int, int], list[int]] = {}
-    for pos, con in enumerate(model.constraints):
-        if not isinstance(con, Implies) or len(con.guard) != 2:
-            continue
-        g0, g1 = con.guard
-        if not (isinstance(g0, Lit) and g0.val and isinstance(g1, Cmp) and g1.op == EQ):
-            continue
-        body = con.body
-        if not (
-            isinstance(body, Lin)
-            and body.op == EQ
-            and body.const == 0
-            and len(body.terms) == 2
-        ):
-            continue
-        t_pos, t_neg = body.terms
-        if t_pos.coef == -1 and t_neg.coef == 1:
-            t_pos, t_neg = t_neg, t_pos
-        if (
-            t_pos.coef != 1
-            or t_neg.coef != -1
-            or t_pos.space != INT
-            or t_neg.space != INT
-        ):
-            continue
-        key = (g0.var, nb + g1.var, nb + t_pos.var)
-        groups.setdefault(key, {})[g1.k] = nb + t_neg.var
-        positions.setdefault(key, []).append(pos)
-
-    fused: set[int] = set()
-    elements = []
-    for key, tmap in groups.items():
-        if len(tmap) < 2:
-            continue
-        ts = sorted(tmap)
-        if ts != list(range(ts[0], ts[-1] + 1)):
-            continue
-        u_uid, idx_uid, tgt_uid = key
-        elements.append((u_uid, idx_uid, tgt_uid, ts[0], tuple(tmap[t] for t in ts)))
-        fused.update(positions[key])
-    return fused, elements
-
-
 def solve(m: CspModel, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Decide satisfiability (optimizing when the model has an objective).
 
     Every satisfying assignment returned has been re-checked against the raw
     constraint list; optimal results come from a closed branch-and-bound.
     """
-    engine = _Engine(m, cfg.branching)
+    engine = _Engine(m)
     deadline = time.monotonic() + cfg.time_budget
     status, assignment = engine.search(deadline, cfg.node_budget)
     if status == LIMIT:

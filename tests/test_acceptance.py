@@ -125,8 +125,7 @@ def test_criterion_4_gadget_reproduction():
         started = time.monotonic()
         outcome = find_plan(
             domain,
-            limits=SearchLimits(max_n=8, copy_cap=1),
-            cfg=SolverConfig(time_budget=55),
+            limits=SearchLimits(max_n=8, copy_cap=1, time_budget=55),
         )
         elapsed = time.monotonic() - started
         assert outcome.found, f"Type I m={copies} not solved"
@@ -160,8 +159,7 @@ def test_criterion_5_scaled_sweep(tmp_path):
         started = time.monotonic()
         outcome = find_plan(
             domain,
-            limits=SearchLimits(max_n=8, copy_cap=1),
-            cfg=SolverConfig(time_budget=290),
+            limits=SearchLimits(max_n=8, copy_cap=1, time_budget=290),
         )
         elapsed = time.monotonic() - started
         worst = max(worst, elapsed)
@@ -174,8 +172,7 @@ def test_criterion_5_scaled_sweep(tmp_path):
             started = time.monotonic()
             outcome = find_plan(
                 domain,
-                limits=SearchLimits(max_n=16, copy_cap=1),
-                cfg=SolverConfig(time_budget=290),
+                limits=SearchLimits(max_n=16, copy_cap=1, time_budget=290),
             )
             elapsed = time.monotonic() - started
             worst = max(worst, elapsed)
@@ -188,7 +185,7 @@ def test_criterion_5_scaled_sweep(tmp_path):
     for copies in (1, 2, 3):
         domain = gen_cushing(GadgetSpec("III", copies, 2))
         outcome = find_plan(
-            domain, limits=SearchLimits(max_n=20, copy_cap=1), cfg=SolverConfig(time_budget=600)
+            domain, limits=SearchLimits(max_n=20, copy_cap=1, time_budget=300)
         )
         assert outcome.found
         assert validate_plan(domain, outcome.plan).is_valid

@@ -217,3 +217,30 @@ def test_exhaustion_names_the_last_probed_stage_count(tmp_path, capsys):
     for flags, message in cases:
         assert run(["solve", domain, *flags]) == 1
         assert capsys.readouterr().err.strip() == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "d.json", "--max-n", "abc"],
+        ["solve"],
+        [],
+        ["bogus"],
+        ["solve", "d.json", "--frob"],
+        ["gen", "--type", "IV", "--copies", "1"],
+        ["bench", "--type", "I"],
+    ],
+)
+def test_argument_errors_are_input_errors(capsys, argv):
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: tqaplan" in capsys.readouterr().out

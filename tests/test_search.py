@@ -59,8 +59,7 @@ def test_geometric_mode_flags_non_minimality():
 def test_resource_limit_outcome():
     outcome = find_plan(
         TINY,
-        limits=SearchLimits(max_n=3, time_budget=60),
-        cfg=SolverConfig(node_budget=1),
+        limits=SearchLimits(max_n=3, time_budget=60, node_budget=1),
     )
     assert outcome.status in ("found", "limit")  # propagation may settle it without nodes
 

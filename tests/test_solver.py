@@ -10,10 +10,13 @@ import pytest
 from randgen import random_small_model
 from tqaplan.cpmodel import (
     BOOL,
+    EQ,
     INT,
     LE,
     Clause,
+    Cmp,
     CspModel,
+    Implies,
     Lin,
     Lit,
     Term,
@@ -110,12 +113,84 @@ def test_agreement_random_models():
                 assert mine.objective == truth.objective, trial
 
 
-def test_declaration_order_branching_agrees():
-    rng = random.Random(5)
-    for _ in range(40):
+def _pin(m: CspModel, var: int, value: int) -> None:
+    m.add(Lin((Term(1, INT, var),), EQ, value))
+
+
+def _channel(m: CspModel, use: int, idx: int, t: int, tgt: int, b: int) -> None:
+    """The row (use and idx = t) -> tgt - b = 0, the shape the encoder gives
+    its per-stage timestamp channelling."""
+    m.add(
+        Implies(
+            (Lit(use), Cmp(idx, EQ, t)),
+            Lin((Term(1, INT, tgt), Term(-1, INT, b)), EQ, 0),
+        )
+    )
+
+
+def _agrees_with_brute_force(m: CspModel):
+    mine, truth = solve(m), brute_force_solve(m)
+    assert mine.status == truth.status
+    if mine.is_sat:
+        assert check_assignment(m, mine.assignment)
+        assert mine.objective == truth.objective
+    return mine
+
+
+def test_channel_rows_with_the_index_outside_their_range():
+    # idx = 4 selects no row, so nothing ties tgt and the model is SAT
+    m = CspModel()
+    u = m.new_bool("u")
+    idx = m.new_int("idx", 0, 5)
+    tgt = m.new_int("tgt", 0, 5)
+    b1, b2 = m.new_int("b1", 0, 5), m.new_int("b2", 0, 5)
+    m.add(Clause((Lit(u),)))
+    _pin(m, idx, 4)
+    _pin(m, b1, 3)
+    _pin(m, b2, 4)
+    _channel(m, u, idx, 1, tgt, b1)
+    _channel(m, u, idx, 2, tgt, b2)
+    assert _agrees_with_brute_force(m).is_sat
+
+
+def test_two_channel_rows_for_one_index_value():
+    # idx = 1 ties tgt to both 3 and 4, so the model is UNSAT
+    m = CspModel()
+    u = m.new_bool("u")
+    idx = m.new_int("idx", 1, 2)
+    tgt = m.new_int("tgt", 0, 6)
+    b1, b2, b3 = (m.new_int(f"b{i}", 0, 6) for i in (1, 2, 3))
+    m.add(Clause((Lit(u),)))
+    _pin(m, idx, 1)
+    _pin(m, b1, 3)
+    _pin(m, b2, 4)
+    _pin(m, b3, 5)
+    _channel(m, u, idx, 1, tgt, b1)
+    _channel(m, u, idx, 1, tgt, b2)
+    _channel(m, u, idx, 2, tgt, b3)
+    assert _agrees_with_brute_force(m).is_unsat
+
+
+def test_agreement_on_random_models_with_channel_rows():
+    rng = random.Random(2024)
+    for _ in range(100):
         m = random_small_model(rng)
-        a = solve(m, SolverConfig(branching="declaration", time_budget=20))
-        b = solve(m, SolverConfig(branching="actions_first", time_budget=20))
-        assert a.is_sat == b.is_sat
-        if m.objective is not None and a.is_sat:
-            assert a.objective == b.objective
+        use = rng.randrange(m.n_bools)
+        # the rows cover [first, first + rows - 1], strictly inside idx's domain
+        rows = rng.randrange(2, 4)
+        first = rng.randrange(1, 3)
+        idx = m.new_int("idx", 0, first + rows)
+        tgt = m.new_int("tgt", 0, 3)
+        bs = [m.new_int(f"c{t}", 0, 3) for t in range(rows)]
+        for t, b in enumerate(bs):
+            _channel(m, use, idx, first + t, tgt, b)
+        if rng.random() < 0.3:
+            # a second row for one index value
+            _channel(m, use, idx, first + rng.randrange(rows), tgt, rng.choice(bs))
+        if rng.random() < 0.5:
+            m.add(Clause((Lit(use),)))
+        if rng.random() < 0.5:
+            m.add(Lin((Term(1, INT, tgt), Term(-1, INT, rng.choice(bs))), LE, -1))
+        if rng.random() < 0.5:
+            m.minimize((*(m.objective or ()), Term(rng.choice((-1, 1)), INT, idx)))
+        _agrees_with_brute_force(m)
