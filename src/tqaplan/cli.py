@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from .benchgen import GadgetSpec, gen_cushing
@@ -191,40 +190,26 @@ def cmd_bench(args) -> int:
             spec = GadgetSpec(args.type, m, h)
             domain = gen_cushing(spec)
             instance = f"{args.type.lower()}-m{m}" + (f"-h{h}" if h else "")
-            started = time.monotonic()
             outcome = find_plan(
                 domain,
                 objective=args.objective,
                 limits=_limits_from(args),
                 geometric=args.geometric_n,
             )
-            wall_ms = round((time.monotonic() - started) * 1000, 3)
-            verdict = outcome.status
+            row = _run_record(instance, outcome)
+            row.update(type=args.type, copies=m, height=h)
             if outcome.found:
                 report = validate_plan(domain, outcome.plan)
-                verdict = "valid" if report.is_valid else "invalid-plan"
-            rows.append(
-                {
-                    "instance": instance,
-                    "type": args.type,
-                    "copies": m,
-                    "height": h if h is not None else "",
-                    "n_found": outcome.n_found if outcome.n_found is not None else "",
-                    "bool_vars": outcome.model_stats[0],
-                    "int_vars": outcome.model_stats[1],
-                    "nodes": outcome.nodes,
-                    "wall_ms": wall_ms,
-                    "objective": str(outcome.plan.objective)
-                    if outcome.found and outcome.plan.objective is not None
-                    else "",
-                    "verdict": verdict,
-                }
+                row["verdict"] = "valid" if report.is_valid else "invalid-plan"
+            rows.append(row)
+            print(
+                f"{instance}: {row['verdict']} n={outcome.n_found} {row['wall_ms']}ms",
+                file=sys.stderr,
             )
-            print(f"{instance}: {verdict} n={outcome.n_found} {wall_ms}ms", file=sys.stderr)
     out_path = Path(args.out)
     new_file = not out_path.exists()
     with out_path.open("a", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         if new_file:
             writer.writeheader()
         writer.writerows(rows)
@@ -232,21 +217,25 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_common_solver_flags(sub) -> None:
-    sub.add_argument("--max-n", type=int, default=20, help="largest stage count to try")
+def _add_model_flags(sub) -> None:
     sub.add_argument("--max-copies", type=int, default=None, help="cap on action copies")
     sub.add_argument("--horizon", type=int, default=None, help="fixed time horizon")
     sub.add_argument(
         "--objective", choices=("none", "makespan", "costs"), default="none"
     )
-    sub.add_argument("--time-budget", type=float, default=300.0, help="seconds")
-    sub.add_argument("--geometric-n", action="store_true", help="probe 1,2,4,... (minimality not guaranteed)")
     sub.add_argument(
         "--strict-io",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="reject unknown keys in input documents",
     )
+
+
+def _add_search_flags(sub) -> None:
+    _add_model_flags(sub)
+    sub.add_argument("--max-n", type=int, default=20, help="largest stage count to try")
+    sub.add_argument("--time-budget", type=float, default=300.0, help="seconds")
+    sub.add_argument("--geometric-n", action="store_true", help="probe 1,2,4,... (minimality not guaranteed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = subs.add_parser("solve", help="search stage counts and write a plan")
     p_solve.add_argument("domain")
     p_solve.add_argument("--plan-out", default=None, help="plan document path")
-    _add_common_solver_flags(p_solve)
+    _add_search_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_val = subs.add_parser("validate", help="check a plan document against a domain")
@@ -281,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("domain")
     p_enc.add_argument("--n", type=int, default=1, help="stage count to instantiate")
     p_enc.add_argument("--out", default=None)
-    _add_common_solver_flags(p_enc)
+    _add_model_flags(p_enc)
     p_enc.set_defaults(func=cmd_encode)
 
     p_bench = subs.add_parser("bench", help="solve a sweep of benchmark instances into CSV")
@@ -289,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--copies", required=True, help="count or range A..B")
     p_bench.add_argument("--height", default=None, help="count or range A..B (Type II/III)")
     p_bench.add_argument("--out", default="bench.csv")
-    _add_common_solver_flags(p_bench)
+    _add_search_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -192,16 +192,6 @@ class CspModel:
         if self.objective is not None:
             _check_terms(self.objective, nb, ni)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CspModel):
-            return NotImplemented
-        return (
-            self.bool_names == other.bool_names
-            and self.int_decls == other.int_decls
-            and self.constraints == other.constraints
-            and self.objective == other.objective
-        )
-
 
 # -- canonical text form ---------------------------------------------------
 

@@ -3,7 +3,13 @@ consistency, guard/reification propagation, and branch-and-bound
 optimization, plus an exhaustive enumeration oracle for small models.
 
 The engine compiles each row of the model, as written, into a flat tuple
-over a unified variable space (Booleans first, then integers).
+over a unified variable space (Booleans first, then integers); an
+exactly-one row compiles as the linear equality it is.
+
+Branching is static and reads no variable names: first the Booleans, those
+watched by the most rows first (ties in id order), then the integers in
+declaration order.  Every branch tries the lower half of the domain first,
+so a Boolean tries false first.  Names are labels for the text form only.
 """
 
 from __future__ import annotations
@@ -139,7 +145,7 @@ def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
 # -- propagation engine -------------------------------------------------------
 
 # compiled constraint tags
-_CL, _LE, _EQ2, _IMP, _IFF, _EX1 = range(6)
+_CL, _LE, _EQ2, _IMP, _IFF = range(5)
 # atom ops (compiled)
 _OP_LE, _OP_GE, _OP_EQ = 0, 1, 2
 
@@ -168,8 +174,8 @@ class _Engine:
         self.sleep: list[int] = []
         for con in model.constraints:
             self._compile(con)
-        self.order = self._branch_order()
-        self.prefer_true = [name.startswith("u[") for name in model.bool_names]
+        self.order = sorted(range(self.nb), key=lambda i: -len(self.watchers[i]))
+        self.order += range(self.nb, self.nv)
 
     # -- compilation --------------------------------------------------------
 
@@ -219,30 +225,10 @@ class _Engine:
             atoms = tuple(self._atom(a) for a in con.atoms)
             self._register((_IFF, lit, atoms), [lit[0]] + [a[0] for a in atoms])
         elif isinstance(con, ExactlyOne):
-            lits = tuple((l.var, 1 if l.val else 0) for l in con.lits)
-            self._register((_EX1, lits), [u for u, _ in lits])
-
-    def _branch_order(self) -> list[int]:
-        def bool_rank(i: int) -> int:
-            name = self.model.bool_names[i]
-            if name.startswith("u["):
-                return 0
-            if name.startswith("flow["):
-                return 1
-            return 2
-
-        int_class = {"l[": 0, "r[": 0, "b[": 1, "S[": 2, "E[": 2, "s[": 3}
-
-        def int_rank(j: int) -> int:
-            name = self.model.int_decls[j][0]
-            for prefix, rank in int_class.items():
-                if name.startswith(prefix):
-                    return rank
-            return 4
-
-        bools = sorted(range(self.nb), key=lambda i: (bool_rank(i), i))
-        ints = sorted(range(self.nv - self.nb), key=lambda j: (int_rank(j), j))
-        return bools + [self.nb + j for j in ints]
+            # one true literal: the sum of x over positive literals and of
+            # 1 - x over negative ones is 1
+            terms = tuple(Term(1 if l.val else -1, BOOL, l.var) for l in con.lits)
+            self._compile(Lin(terms, EQ, 1 - sum(not l.val for l in con.lits)))
 
     # -- domain updates -------------------------------------------------------
 
@@ -503,41 +489,6 @@ class _Engine:
             return True
         return False
 
-    def _prop_exone(self, lits) -> bool:
-        lo, hi = self.lo, self.hi
-        trues = 0
-        unknowns = []
-        for uid, want in lits:
-            l = lo[uid]
-            if l == hi[uid]:
-                if l == want:
-                    trues += 1
-            else:
-                unknowns.append((uid, want))
-        if trues > 1:
-            self.conflict = True
-            return False
-        if trues == 1:
-            for uid, want in unknowns:
-                if want:
-                    self._set_hi(uid, 0)
-                else:
-                    self._set_lo(uid, 1)
-                if self.conflict:
-                    return False
-            return True
-        if not unknowns:
-            self.conflict = True
-            return False
-        if len(unknowns) == 1:
-            uid, want = unknowns[0]
-            if want:
-                self._set_lo(uid, 1)
-            else:
-                self._set_hi(uid, 0)
-            return True
-        return False
-
     def propagate(self) -> bool:
         queue, queued, cons, sleep = self.queue, self.queued, self.cons, self.sleep
         epoch = self.epoch
@@ -560,10 +511,8 @@ class _Engine:
                 done = self._prop_lin_le(con[1], con[3])
                 if not self.conflict:
                     done = self._prop_lin_le(con[2], -con[3]) and done
-            elif tag == _IFF:
-                done = self._prop_iff(con[1], con[2])
             else:
-                done = self._prop_exone(con[1])
+                done = self._prop_iff(con[1], con[2])
             if done and not self.conflict:
                 sleep[idx] = epoch
         if self.conflict:
@@ -596,9 +545,6 @@ class _Engine:
 
     def _children(self, uid: int):
         lo, hi = self.lo[uid], self.hi[uid]
-        if uid < self.nb:
-            pref = 1 if self.prefer_true[uid] else 0
-            return ((pref, pref), (1 - pref, 1 - pref))
         mid = (lo + hi) // 2
         return ((lo, mid), (mid + 1, hi))
 

@@ -244,3 +244,14 @@ def test_help_exits_zero(capsys, argv):
         run(argv)
     assert exc.value.code == 0
     assert "usage: tqaplan" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--max-n", "3"], ["--time-budget", "5"], ["--geometric-n"]])
+def test_encode_rejects_search_flags(tmp_path, capsys, flags):
+    # encode builds one model for --n stages; it runs no search to limit
+    domain = tmp_path / "d.json"
+    domain.write_text(NO_RAISER)
+    assert run(["encode", domain, "--n", "2", *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -3,11 +3,13 @@ agreement with the exhaustive enumerator."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from randgen import random_small_model
+from tqaplan.benchgen import GadgetSpec, gen_cushing
 from tqaplan.cpmodel import (
     BOOL,
     EQ,
@@ -28,6 +30,8 @@ from tqaplan.solver import (
     check_assignment,
     solve,
 )
+from tqaplan.encoder import encode
+from tqaplan.theory import instantiate
 
 
 def test_unsat_bounds():
@@ -194,3 +198,20 @@ def test_agreement_on_random_models_with_channel_rows():
         if rng.random() < 0.5:
             m.minimize((*(m.objective or ()), Term(rng.choice((-1, 1)), INT, idx)))
         _agrees_with_brute_force(m)
+
+
+@pytest.mark.parametrize("n, objective", [(9, "none"), (5, "makespan"), (9, "makespan")])
+def test_search_does_not_read_variable_names(n, objective):
+    # II m=1 h=2 at copy cap 2, horizon 22: UNSAT at N=5, SAT from N=9
+    domain = gen_cushing(GadgetSpec("II", 1, 2))
+    m = encode(instantiate(domain, n, 2, 22), objective)
+    renamed = dataclasses.replace(
+        m,
+        bool_names=[f"x{i}" for i in range(m.n_bools)],
+        int_decls=[(f"y{j}", lo, hi) for j, (_, lo, hi) in enumerate(m.int_decls)],
+    )
+    first, second = solve(m), solve(renamed)
+    assert first.status == second.status
+    assert first.objective == second.objective
+    assert first.nodes == second.nodes
+    assert first.assignment == second.assignment
