@@ -104,6 +104,7 @@ def _run_record(instance: str, outcome: FindOutcome) -> dict:
         else None,
         "verdict": outcome.status,
         "minimal_n_guaranteed": outcome.minimal_n_guaranteed,
+        "last_n": outcome.last_n,
     }
 
 

@@ -4,6 +4,7 @@ canonical text form that round-trips exactly."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
@@ -115,6 +116,9 @@ def _check_terms(terms: tuple[Term, ...], nb: int, ni: int) -> None:
             raise ModelFormatError(f"bad variable space {t.space!r}")
 
 
+_has_space = re.compile(r"\s").search
+
+
 @dataclass
 class CspModel:
     bool_names: list[str] = field(default_factory=list)
@@ -125,13 +129,13 @@ class CspModel:
     # -- construction -----------------------------------------------------
 
     def new_bool(self, name: str) -> int:
-        if any(ch.isspace() for ch in name):
+        if _has_space(name):
             raise ValueError(f"variable names must not contain whitespace: {name!r}")
         self.bool_names.append(name)
         return len(self.bool_names) - 1
 
     def new_int(self, name: str, lo: int, hi: int) -> int:
-        if any(ch.isspace() for ch in name):
+        if _has_space(name):
             raise ValueError(f"variable names must not contain whitespace: {name!r}")
         if lo > hi:
             raise ValueError(f"empty domain [{lo}, {hi}] for {name!r}")
@@ -154,13 +158,14 @@ class CspModel:
     def n_ints(self) -> int:
         return len(self.int_decls)
 
-    def check_well_formed(self) -> None:
-        """Reject dangling variable references and malformed pieces.
+    def check_well_formed(self, first_row: int = 0) -> None:
+        """Reject dangling variable references and malformed pieces in the
+        rows from ``first_row`` on and in the objective.
 
         One flat pass over the rows; the first offending atom or term, in
         row order and left to right within a row, decides the error."""
         nb, ni = len(self.bool_names), len(self.int_decls)
-        for con in self.constraints:
+        for con in itertools.islice(self.constraints, first_row, None):
             lin = None
             if isinstance(con, Implies):
                 body = con.body

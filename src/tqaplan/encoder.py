@@ -5,11 +5,21 @@ truth values over the stage's two sub-intervals; each action copy carries a
 use Boolean, stage indices l/r (the copy spans stages l..r-1), and
 channelled start/end timestamps.  Emission order is fixed, so equal inputs
 produce byte-identical models.
+
+Every family walks a stage range and a copy range.  A row belongs to the
+stage and copy it first exists at; rows whose form depends on the stage
+count itself (the horizon, the last stage, the copy set while it can still
+grow) go through one hook, :attr:`Encoder.tail`.  :func:`encode` walks the
+full ranges with the hook writing inline, so it writes one model in one
+fixed order.  :class:`GrowingEncoder` walks only what is new at each stage
+count and keeps the hooked rows apart, as a tail rewritten at every count.
 """
 
 from __future__ import annotations
 
+import functools
 from math import lcm
+from typing import Callable, Optional
 
 from .cpmodel import (
     BOOL,
@@ -38,23 +48,40 @@ def cost_scale(domain: Domain) -> int:
     return lcm(*(s.cost.denominator for s in domain.skills), 1)
 
 
+
+
 class Encoder:
     """Stateful emitter; create one per (shape, objective) pair and call
     :meth:`encode`, or drive the individual emit steps in tests."""
 
     def __init__(self, shape: TheoryShape):
-        self.shape = shape
         self.model = CspModel()
         for name in shape.bool_names:
             self.model.new_bool(name)
         for name, lo, hi in shape.int_decls:
             self.model.new_int(name, lo, hi)
+        self._start(shape)
+        self.shape = shape
+        self.flow_id, self.use_id = shape.flow_id, shape.use_id
+        self.left_id, self.right_id = shape.left_id, shape.right_id
+        self.start_id, self.end_id = shape.start_id, shape.end_id
+        self.boundary_id, self.split_id = shape.boundary_id, shape.split_id
+        # one stage count: every stage and copy is new, and the hook for rows
+        # that depend on the count writes inline
+        self.t0 = self.k0 = self.set_t0 = 1
+        self.tail = self.set_add = self.model.add
+
+    def _start(self, shape: TheoryShape) -> None:
+        """State that stays fixed across the stage counts of one domain."""
         self._contains_id: dict[tuple[int, int, int], int] = {}
         self._interior_id: dict[tuple[int, int, int], int] = {}
+        self._fall_id: dict[tuple[int, int, int, int], int] = {}
+        self._span: Optional[int] = None
+        self._skill_ais = [i for i, ref in enumerate(shape.actions) if ref.kind == "skill"]
         # per fluent, the skill actions that can raise / lower it, in action order
         self._raisers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
         self._lowerers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
-        for ai in self._skill_action_indices():
+        for ai in self._skill_ais:
             skill_name = shape.actions[ai].name
             for fluent in raises_of(shape.domain, skill_name):
                 self._raisers[fluent].append(ai)
@@ -64,14 +91,19 @@ class Encoder:
     # -- shared lookups -----------------------------------------------------
 
     def _flow(self, fluent: str, t: int, v: int, w: int) -> Lit:
-        return Lit(self.shape.flow_id[(fluent, t, v, w)])
-
-    def _skill_action_indices(self) -> list[int]:
-        return [i for i, ref in enumerate(self.shape.actions) if ref.kind == "skill"]
+        return Lit(self.flow_id[(fluent, t, v, w)])
 
     def contains_lit(self, ai: int, k: int, t: int) -> Lit:
         """The reified 'copy k of action ai spans stage t' literal."""
         return Lit(self._contains_id[(ai, k, t)])
+
+    def _stages(self, lo: int, hi: int, k: int = 0, shift: int = 0) -> range:
+        """``range(lo, hi)`` cut to the rows new at this stage count.  Row
+        ``t`` first exists at stage ``t + shift``; every row of a new copy
+        ``k`` is new (``k = 0``: the row belongs to no copy)."""
+        if k >= self.k0:
+            return range(lo, hi)
+        return range(max(lo, self.t0 - shift), hi)
 
     # -- flow and stage-partition constraints --------------------------------
 
@@ -87,15 +119,16 @@ class Encoder:
         n = shape.n_stages
         init, goal = shape.domain.init, shape.domain.goal
         for fluent in shape.fluent_names:
-            if fluent in init:
-                m.add(ExactlyOne((self._flow(fluent, 1, 1, 0), self._flow(fluent, 1, 1, 1))))
-                m.add(Clause((self._flow(fluent, 1, 0, 0).negate(),)))
-                m.add(Clause((self._flow(fluent, 1, 0, 1).negate(),)))
-            else:
-                m.add(ExactlyOne((self._flow(fluent, 1, 0, 1), self._flow(fluent, 1, 0, 0))))
-                m.add(Clause((self._flow(fluent, 1, 1, 0).negate(),)))
-                m.add(Clause((self._flow(fluent, 1, 1, 1).negate(),)))
-            for t in range(1, n):
+            if self.t0 == 1:
+                if fluent in init:
+                    m.add(ExactlyOne((self._flow(fluent, 1, 1, 0), self._flow(fluent, 1, 1, 1))))
+                    m.add(Clause((self._flow(fluent, 1, 0, 0).negate(),)))
+                    m.add(Clause((self._flow(fluent, 1, 0, 1).negate(),)))
+                else:
+                    m.add(ExactlyOne((self._flow(fluent, 1, 0, 1), self._flow(fluent, 1, 0, 0))))
+                    m.add(Clause((self._flow(fluent, 1, 1, 0).negate(),)))
+                    m.add(Clause((self._flow(fluent, 1, 1, 1).negate(),)))
+            for t in self._stages(1, n, shift=1):
                 for w in (0, 1):
                     m.add(
                         Lin(
@@ -110,17 +143,17 @@ class Encoder:
                         )
                     )
             if fluent in goal:
-                m.add(ExactlyOne((self._flow(fluent, n, 0, 1), self._flow(fluent, n, 1, 1))))
-            for t in range(2, n + 1):
+                self.tail(ExactlyOne((self._flow(fluent, n, 0, 1), self._flow(fluent, n, 1, 1))))
+            for t in self._stages(2, n + 1):
                 m.add(
                     ExactlyOne(
                         tuple(self._flow(fluent, t, v, w) for v in (0, 1) for w in (0, 1))
                     )
                 )
-            for t in range(1, n + 1):
-                s = shape.split_id[(fluent, t)]
-                b_prev = shape.boundary_id[t - 1]
-                b_cur = shape.boundary_id[t]
+            for t in self._stages(1, n + 1):
+                s = self.split_id[(fluent, t)]
+                b_prev = self.boundary_id[t - 1]
+                b_cur = self.boundary_id[t]
                 for v, w in ((0, 1), (1, 0)):
                     guard = (self._flow(fluent, t, v, w),)
                     m.add(
@@ -152,19 +185,20 @@ class Encoder:
         channelling, and duration rules."""
         shape, m = self.shape, self.model
         n, h = shape.n_stages, shape.horizon
-        m.add(Lin((Term(1, INT, shape.boundary_id[0]),), EQ, 0))
-        for t in range(1, n + 1):
+        if self.t0 == 1:
+            m.add(Lin((Term(1, INT, self.boundary_id[0]),), EQ, 0))
+        for t in self._stages(1, n + 1):
             m.add(
                 Lin(
                     (
-                        Term(1, INT, shape.boundary_id[t - 1]),
-                        Term(-1, INT, shape.boundary_id[t]),
+                        Term(1, INT, self.boundary_id[t - 1]),
+                        Term(-1, INT, self.boundary_id[t]),
                     ),
                     LE,
                     -1,
                 )
             )
-        m.add(Lin((Term(1, INT, shape.boundary_id[n]),), LE, h))
+        self.tail(Lin((Term(1, INT, self.boundary_id[n]),), LE, h))
 
         for ai, ref in enumerate(shape.actions):
             skill = shape.skill_of(ref) if ref.kind == "skill" else None
@@ -172,23 +206,26 @@ class Encoder:
                 c.rel is ConstraintRel.EQUALS for c in skill.constraints
             )
             for k in shape.copies():
-                u = Lit(shape.use_id[(ai, k)])
-                l_v, r_v = shape.left_id[(ai, k)], shape.right_id[(ai, k)]
-                s_v, e_v = shape.start_id[(ai, k)], shape.end_id[(ai, k)]
-                m.add(Implies((u,), Lin((Term(1, INT, l_v), Term(-1, INT, r_v)), LE, -1)))
-                m.add(Implies((u.negate(),), Lin((Term(1, INT, l_v),), EQ, n + 1)))
-                m.add(Implies((u.negate(),), Lin((Term(1, INT, r_v),), EQ, 0)))
-                m.add(Implies((u.negate(),), Lin((Term(1, INT, s_v),), EQ, 0)))
-                m.add(Implies((u.negate(),), Lin((Term(1, INT, e_v),), EQ, 0)))
-                if k > 1:
-                    prev_u = Lit(shape.use_id[(ai, k - 1)])
+                new = k >= self.k0
+                u = Lit(self.use_id[(ai, k)])
+                l_v, r_v = self.left_id[(ai, k)], self.right_id[(ai, k)]
+                s_v, e_v = self.start_id[(ai, k)], self.end_id[(ai, k)]
+                if new:
+                    m.add(Implies((u,), Lin((Term(1, INT, l_v), Term(-1, INT, r_v)), LE, -1)))
+                self.tail(Implies((u.negate(),), Lin((Term(1, INT, l_v),), EQ, n + 1)))
+                if new:
+                    m.add(Implies((u.negate(),), Lin((Term(1, INT, r_v),), EQ, 0)))
+                    m.add(Implies((u.negate(),), Lin((Term(1, INT, s_v),), EQ, 0)))
+                    m.add(Implies((u.negate(),), Lin((Term(1, INT, e_v),), EQ, 0)))
+                if new and k > 1:
+                    prev_u = Lit(self.use_id[(ai, k - 1)])
                     m.add(Clause((u.negate(), prev_u)))
                     m.add(
                         Implies(
                             (u,),
                             Lin(
                                 (
-                                    Term(1, INT, shape.right_id[(ai, k - 1)]),
+                                    Term(1, INT, self.right_id[(ai, k - 1)]),
                                     Term(-1, INT, l_v),
                                 ),
                                 LE,
@@ -196,28 +233,30 @@ class Encoder:
                             ),
                         )
                     )
-                for t in range(1, n + 1):
+                for t in self._stages(1, n + 1, k):
                     m.add(
                         Implies(
                             (u, Cmp(l_v, EQ, t)),
                             Lin(
-                                (Term(1, INT, s_v), Term(-1, INT, shape.boundary_id[t - 1])),
+                                (Term(1, INT, s_v), Term(-1, INT, self.boundary_id[t - 1])),
                                 EQ,
                                 0,
                             ),
                         )
                     )
-                for t in range(2, n + 2):
+                for t in self._stages(2, n + 2, k, shift=-1):
                     m.add(
                         Implies(
                             (u, Cmp(r_v, EQ, t)),
                             Lin(
-                                (Term(1, INT, e_v), Term(-1, INT, shape.boundary_id[t - 1])),
+                                (Term(1, INT, e_v), Term(-1, INT, self.boundary_id[t - 1])),
                                 EQ,
                                 0,
                             ),
                         )
                     )
+                if not new:
+                    continue
                 # stages are at least one tick wide, so E - S >= r - l
                 m.add(
                     Implies(
@@ -258,18 +297,18 @@ class Encoder:
 
     # -- precondition/effect constraint families ------------------------------
 
-    def _emit_window_start_rule(self, fluent: str, u: Lit, l_v: int) -> None:
+    def _emit_window_start_rule(self, fluent: str, u: Lit, l_v: int, k: int) -> None:
         """The fluent must already be true when the copy starts; starting at
         stage 1 draws the before-context from the initial conditions."""
         shape, m = self.shape, self.model
-        for t in range(2, shape.n_stages + 1):
+        for t in self._stages(2, shape.n_stages + 1, k):
             m.add(
                 Implies(
                     (u, Cmp(l_v, EQ, t)),
                     Clause((self._flow(fluent, t - 1, 0, 1), self._flow(fluent, t - 1, 1, 1))),
                 )
             )
-        if fluent not in shape.domain.init:
+        if k >= self.k0 and fluent not in shape.domain.init:
             m.add(Implies((u,), Lin((Term(-1, INT, l_v),), LE, -2)))
 
     def emit_tc_constraints(self) -> None:
@@ -283,22 +322,22 @@ class Encoder:
         """
         shape, m = self.shape, self.model
         n = shape.n_stages
-        for ai in self._skill_action_indices():
+        for ai in self._skill_ais:
             ref = shape.actions[ai]
             skill = shape.skill_of(ref)
             for k in shape.copies():
-                u = Lit(shape.use_id[(ai, k)])
-                l_v, r_v = shape.left_id[(ai, k)], shape.right_id[(ai, k)]
-                for t in range(1, n + 1):
+                u = Lit(self.use_id[(ai, k)])
+                l_v, r_v = self.left_id[(ai, k)], self.right_id[(ai, k)]
+                for t in self._stages(1, n + 1, k):
                     c = m.new_bool(f"c[{ref.label()},{k},{t}]")
                     self._contains_id[(ai, k, t)] = c
                     m.add(
                         IffConj(Lit(c), (u, Cmp(l_v, LE, t), Cmp(r_v, GE, t + 1)))
                     )
-                for spec in skill.constraints:
+                for si, spec in enumerate(skill.constraints):
                     if spec.rel is ConstraintRel.CONTAINS:
-                        self._emit_window_start_rule(spec.fluent, u, l_v)
-                        for t in range(2, n + 1):
+                        self._emit_window_start_rule(spec.fluent, u, l_v, k)
+                        for t in self._stages(2, n + 1, k):
                             m.add(
                                 Implies(
                                     (u, Cmp(r_v, EQ, t)),
@@ -311,8 +350,8 @@ class Encoder:
                                 )
                             )
                         if spec.fluent not in shape.domain.goal:
-                            m.add(Implies((u,), Lin((Term(1, INT, r_v),), LE, n)))
-                        for t in range(1, n + 1):
+                            self.tail(Implies((u,), Lin((Term(1, INT, r_v),), LE, n)))
+                        for t in self._stages(1, n + 1, k):
                             m.add(
                                 Clause(
                                     (
@@ -322,10 +361,10 @@ class Encoder:
                                 )
                             )
                     elif spec.rel is ConstraintRel.OVERLAPS:
-                        self._emit_window_start_rule(spec.fluent, u, l_v)
-                        fall_terms = []
-                        for t in range(1, n + 1):
+                        self._emit_window_start_rule(spec.fluent, u, l_v, k)
+                        for t in self._stages(1, n + 1, k):
                             g = m.new_bool(f"g[{ref.label()},{k},{spec.fluent},{t}]")
+                            self._fall_id[(ai, k, si, t)] = g
                             m.add(
                                 IffConj(
                                     Lit(g),
@@ -335,8 +374,10 @@ class Encoder:
                                     ),
                                 )
                             )
-                            fall_terms.append(Term(1, BOOL, g))
-                        m.add(Implies((u,), Lin(tuple(fall_terms), EQ, 1)))
+                        fall_terms = tuple(
+                            Term(1, BOOL, self._fall_id[(ai, k, si, t)]) for t in range(1, n + 1)
+                        )
+                        self.tail(Implies((u,), Lin(fall_terms, EQ, 1)))
 
     # -- operational constraints ----------------------------------------------
 
@@ -344,6 +385,7 @@ class Encoder:
         """Temporal-action chaining and resource-equality windows."""
         shape, m = self.shape, self.model
         n = shape.n_stages
+        new_copies = range(self.k0, shape.copy_cap + 1)
 
         component_parents: dict[tuple[str, int], int] = {}
         for ai, ref in enumerate(shape.actions):
@@ -353,17 +395,17 @@ class Encoder:
             comp_ids = [shape.action_index(name, ref.actor) for name in ta.skills]
             for comp in comp_ids:
                 component_parents[(shape.actions[comp].name, ref.actor)] = ai
-            for k in shape.copies():
-                u = Lit(shape.use_id[(ai, k)])
+            for k in new_copies:
+                u = Lit(self.use_id[(ai, k)])
                 for comp in comp_ids:
-                    m.add(Clause((u.negate(), Lit(shape.use_id[(comp, k)]))))
+                    m.add(Clause((u.negate(), Lit(self.use_id[(comp, k)]))))
                 m.add(
                     Implies(
                         (u,),
                         Lin(
                             (
-                                Term(1, INT, shape.left_id[(comp_ids[0], k)]),
-                                Term(-1, INT, shape.left_id[(ai, k)]),
+                                Term(1, INT, self.left_id[(comp_ids[0], k)]),
+                                Term(-1, INT, self.left_id[(ai, k)]),
                             ),
                             EQ,
                             0,
@@ -375,8 +417,8 @@ class Encoder:
                         (u,),
                         Lin(
                             (
-                                Term(1, INT, shape.right_id[(comp_ids[-1], k)]),
-                                Term(-1, INT, shape.right_id[(ai, k)]),
+                                Term(1, INT, self.right_id[(comp_ids[-1], k)]),
+                                Term(-1, INT, self.right_id[(ai, k)]),
                             ),
                             EQ,
                             0,
@@ -389,8 +431,8 @@ class Encoder:
                             (u,),
                             Lin(
                                 (
-                                    Term(1, INT, shape.right_id[(first, k)]),
-                                    Term(-1, INT, shape.left_id[(second, k)]),
+                                    Term(1, INT, self.right_id[(first, k)]),
+                                    Term(-1, INT, self.left_id[(second, k)]),
                                 ),
                                 EQ,
                                 0,
@@ -399,26 +441,26 @@ class Encoder:
                     )
         for (name, actor), parent_ai in sorted(component_parents.items()):
             comp_ai = shape.action_index(name, actor)
-            for k in shape.copies():
+            for k in new_copies:
                 m.add(
                     Clause(
                         (
-                            Lit(shape.use_id[(comp_ai, k)]).negate(),
-                            Lit(shape.use_id[(parent_ai, k)]),
+                            Lit(self.use_id[(comp_ai, k)]).negate(),
+                            Lit(self.use_id[(parent_ai, k)]),
                         )
                     )
                 )
 
-        for ai in self._skill_action_indices():
+        for ai in self._skill_ais:
             ref = shape.actions[ai]
             skill = shape.skill_of(ref)
             equals_specs = [c for c in skill.constraints if c.rel is ConstraintRel.EQUALS]
             if not equals_specs:
                 continue
             for k in shape.copies():
-                u = Lit(shape.use_id[(ai, k)])
-                l_v, r_v = shape.left_id[(ai, k)], shape.right_id[(ai, k)]
-                for t in range(2, n):
+                u = Lit(self.use_id[(ai, k)])
+                l_v, r_v = self.left_id[(ai, k)], self.right_id[(ai, k)]
+                for t in self._stages(2, n, k, shift=1):
                     d = m.new_bool(f"d[{ref.label()},{k},{t}]")
                     self._interior_id[(ai, k, t)] = d
                     m.add(
@@ -426,7 +468,7 @@ class Encoder:
                     )
                 for spec in equals_specs:
                     rho = spec.fluent
-                    for t in range(1, n + 1):
+                    for t in self._stages(1, n + 1, k):
                         guard = (u, Cmp(l_v, EQ, t))
                         m.add(Implies(guard, Clause((self._flow(rho, t, 0, 1),))))
                         m.add(
@@ -434,15 +476,15 @@ class Encoder:
                                 guard,
                                 Lin(
                                     (
-                                        Term(1, INT, shape.split_id[(rho, t)]),
-                                        Term(-1, INT, shape.boundary_id[t - 1]),
+                                        Term(1, INT, self.split_id[(rho, t)]),
+                                        Term(-1, INT, self.boundary_id[t - 1]),
                                     ),
                                     EQ,
                                     1,
                                 ),
                             )
                         )
-                    for t_end in range(2, n + 2):
+                    for t_end in self._stages(2, n + 2, k, shift=-1):
                         guard = (u, Cmp(r_v, EQ, t_end))
                         m.add(
                             Implies(guard, Clause((self._flow(rho, t_end - 1, 1, 0),)))
@@ -452,15 +494,15 @@ class Encoder:
                                 guard,
                                 Lin(
                                     (
-                                        Term(1, INT, shape.split_id[(rho, t_end - 1)]),
-                                        Term(-1, INT, shape.boundary_id[t_end - 1]),
+                                        Term(1, INT, self.split_id[(rho, t_end - 1)]),
+                                        Term(-1, INT, self.boundary_id[t_end - 1]),
                                     ),
                                     EQ,
                                     -1,
                                 ),
                             )
                         )
-                    for t in range(2, n):
+                    for t in self._stages(2, n, k, shift=1):
                         m.add(
                             Clause(
                                 (
@@ -474,26 +516,27 @@ class Encoder:
 
     def emit_frame_and_interference(self) -> None:
         """Every transition needs a justifying span; interfering fluents are
-        cut apart both by Boolean exclusions and by split ordering."""
+        cut apart both by Boolean exclusions and by split ordering.  The
+        frame clauses range over the copy set."""
         shape, m = self.shape, self.model
         n = shape.n_stages
         domain = shape.domain
 
         for fluent in shape.fluent_names:
-            for t in range(1, n + 1):
+            for t in range(self.set_t0, n + 1):
                 rise_lits = [self._flow(fluent, t, 0, 1).negate()]
                 for ai in self._raisers[fluent]:
                     for k in shape.copies():
                         rise_lits.append(self.contains_lit(ai, k, t))
-                m.add(Clause(tuple(rise_lits)))
+                self.set_add(Clause(tuple(rise_lits)))
                 fall_lits = [self._flow(fluent, t, 1, 0).negate()]
                 for ai in self._lowerers[fluent]:
                     for k in shape.copies():
                         fall_lits.append(self.contains_lit(ai, k, t))
-                m.add(Clause(tuple(fall_lits)))
+                self.set_add(Clause(tuple(fall_lits)))
 
         for first, second in sorted(domain.interference):
-            for t in range(1, n + 1):
+            for t in self._stages(1, n + 1):
                 for v in (0, 1):
                     for w in (0, 1):
                         m.add(
@@ -519,8 +562,8 @@ class Encoder:
                             (self._flow(riser, t, 0, 1), self._flow(faller, t, 1, 0)),
                             Lin(
                                 (
-                                    Term(1, INT, shape.split_id[(faller, t)]),
-                                    Term(-1, INT, shape.split_id[(riser, t)]),
+                                    Term(1, INT, self.split_id[(faller, t)]),
+                                    Term(-1, INT, self.split_id[(riser, t)]),
                                 ),
                                 LE,
                                 0,
@@ -530,7 +573,8 @@ class Encoder:
 
     def emit_implied_cuts(self) -> None:
         """Redundant rows that never change satisfiability but let bound
-        propagation walk the containment chains directly.
+        propagation walk the containment chains directly.  All of them range
+        over the copy set.
 
         Goal support: a goal fluent that starts false needs some raiser copy
         in use.  Single-provider windows: when a constrained fluent outside
@@ -538,22 +582,24 @@ class Encoder:
         window geometry pins offsets between the two copies' stage and time
         variables (one-tick insets for equality-bound resources; rises
         strictly inside the provider's span otherwise)."""
-        shape, m = self.shape, self.model
+        shape, add = self.shape, self.set_add
         domain = shape.domain
+        if self.set_t0 > 1:
+            return
 
         for fluent in shape.fluent_names:
             if fluent in domain.goal and fluent not in domain.init:
                 lits = tuple(
-                    Lit(shape.use_id[(ai, k)])
+                    Lit(self.use_id[(ai, k)])
                     for ai in self._raisers[fluent]
                     for k in shape.copies()
                 )
-                m.add(Clause(lits))
+                add(Clause(lits))
 
         if shape.copy_cap != 1:
             return
         roles = {f.name: f.role for f in domain.fluents}
-        for ai in self._skill_action_indices():
+        for ai in self._skill_ais:
             skill = shape.skill_of(shape.actions[ai])
             for spec in skill.constraints:
                 if spec.rel is ConstraintRel.EQUALS or spec.fluent in domain.init:
@@ -562,14 +608,14 @@ class Encoder:
                 if len(providers) != 1:
                     continue
                 bi = providers[0]
-                u = Lit(shape.use_id[(ai, 1)])
-                l_a, r_a = shape.left_id[(ai, 1)], shape.right_id[(ai, 1)]
-                s_a, e_a = shape.start_id[(ai, 1)], shape.end_id[(ai, 1)]
-                l_b, r_b = shape.left_id[(bi, 1)], shape.right_id[(bi, 1)]
-                s_b, e_b = shape.start_id[(bi, 1)], shape.end_id[(bi, 1)]
-                m.add(Clause((u.negate(), Lit(shape.use_id[(bi, 1)]))))
-                m.add(Implies((u,), Lin((Term(1, INT, l_b), Term(-1, INT, l_a)), LE, -1)))
-                m.add(Implies((u,), Lin((Term(1, INT, s_b), Term(-1, INT, s_a)), LE, -2)))
+                u = Lit(self.use_id[(ai, 1)])
+                l_a, r_a = self.left_id[(ai, 1)], self.right_id[(ai, 1)]
+                s_a, e_a = self.start_id[(ai, 1)], self.end_id[(ai, 1)]
+                l_b, r_b = self.left_id[(bi, 1)], self.right_id[(bi, 1)]
+                s_b, e_b = self.start_id[(bi, 1)], self.end_id[(bi, 1)]
+                add(Clause((u.negate(), Lit(self.use_id[(bi, 1)]))))
+                add(Implies((u,), Lin((Term(1, INT, l_b), Term(-1, INT, l_a)), LE, -1)))
+                add(Implies((u,), Lin((Term(1, INT, s_b), Term(-1, INT, s_a)), LE, -2)))
                 window = (
                     roles.get(spec.fluent) is FluentRole.RESOURCE
                     and spec.fluent
@@ -582,13 +628,13 @@ class Encoder:
                 if not window:
                     continue
                 if spec.rel is ConstraintRel.CONTAINS:
-                    m.add(Implies((u,), Lin((Term(1, INT, r_a), Term(-1, INT, r_b)), LE, -1)))
-                    m.add(Implies((u,), Lin((Term(1, INT, e_a), Term(-1, INT, e_b)), LE, -2)))
+                    add(Implies((u,), Lin((Term(1, INT, r_a), Term(-1, INT, r_b)), LE, -1)))
+                    add(Implies((u,), Lin((Term(1, INT, e_a), Term(-1, INT, e_b)), LE, -2)))
                 else:  # the provider's window must fall strictly inside the span
-                    m.add(Implies((u,), Lin((Term(1, INT, r_b), Term(-1, INT, r_a)), LE, 0)))
-                    m.add(Implies((u,), Lin((Term(1, INT, l_a), Term(-1, INT, r_b)), LE, -1)))
-                    m.add(Implies((u,), Lin((Term(1, INT, e_b), Term(-1, INT, e_a)), LE, 0)))
-                    m.add(Implies((u,), Lin((Term(1, INT, s_a), Term(-1, INT, e_b)), LE, -2)))
+                    add(Implies((u,), Lin((Term(1, INT, r_b), Term(-1, INT, r_a)), LE, 0)))
+                    add(Implies((u,), Lin((Term(1, INT, l_a), Term(-1, INT, r_b)), LE, -1)))
+                    add(Implies((u,), Lin((Term(1, INT, e_b), Term(-1, INT, e_a)), LE, 0)))
+                    add(Implies((u,), Lin((Term(1, INT, s_a), Term(-1, INT, e_b)), LE, -2)))
 
     # -- objective -----------------------------------------------------------
 
@@ -599,24 +645,27 @@ class Encoder:
         if kind == "costs":
             scale = cost_scale(shape.domain)
             terms = []
-            for ai in self._skill_action_indices():
+            for ai in self._skill_ais:
                 coef = int(shape.skill_of(shape.actions[ai]).cost * scale)
                 if coef == 0:
                     continue
                 for k in shape.copies():
-                    terms.append(Term(coef, BOOL, shape.use_id[(ai, k)]))
+                    terms.append(Term(coef, BOOL, self.use_id[(ai, k)]))
             m.minimize(terms)
             return
         if kind == "makespan":
-            span = m.new_int("makespan", 0, shape.horizon)
-            for ai in self._skill_action_indices():
-                for k in shape.copies():
+            if self._span is None:
+                self._span = m.new_int("makespan", 0, shape.horizon)
+            span = self._span
+            m.int_decls[span] = ("makespan", 0, shape.horizon)
+            for ai in self._skill_ais:
+                for k in range(self.k0, shape.copy_cap + 1):
                     m.add(
                         Implies(
-                            (Lit(shape.use_id[(ai, k)]),),
+                            (Lit(self.use_id[(ai, k)]),),
                             Lin(
                                 (
-                                    Term(1, INT, shape.end_id[(ai, k)]),
+                                    Term(1, INT, self.end_id[(ai, k)]),
                                     Term(-1, INT, span),
                                 ),
                                 LE,
@@ -628,14 +677,21 @@ class Encoder:
             return
         raise ValueError(f"unknown objective kind {kind!r}; use one of {OBJECTIVE_KINDS}")
 
+    def _families(self, objective: str) -> tuple[Callable[[], None], ...]:
+        """The emit steps in the order their rows are written."""
+        return (
+            self.emit_flow,
+            self.emit_action_structure,
+            self.emit_tc_constraints,
+            self.emit_operational,
+            self.emit_frame_and_interference,
+            self.emit_implied_cuts,
+            functools.partial(self.emit_objective, objective),
+        )
+
     def encode(self, objective: str = "none") -> CspModel:
-        self.emit_flow()
-        self.emit_action_structure()
-        self.emit_tc_constraints()
-        self.emit_operational()
-        self.emit_frame_and_interference()
-        self.emit_implied_cuts()
-        self.emit_objective(objective)
+        for emit in self._families(objective):
+            emit()
         self.model.check_well_formed()
         return self.model
 
@@ -643,3 +699,88 @@ class Encoder:
 def encode(shape: TheoryShape, objective: str = "none") -> CspModel:
     """Pure function of (shape, objective); see :class:`Encoder`."""
     return Encoder(shape).encode(objective)
+
+
+class GrowingEncoder(Encoder):
+    """The models of one domain at rising stage counts, grown as one model.
+
+    Each :meth:`advance` takes the next shape (same domain, copy cap and
+    horizon argument, more stages) and writes, once, only the rows that are
+    new there: the rows of its new stages and of its new copies.  A variable
+    keeps the id it got when first declared, so ids follow the order of
+    growth, not the order :func:`encode` uses.  The rows that depend on the
+    stage count, and every row over the copy set while the set can still
+    grow, form a tail that is written afresh at every count.
+    """
+
+    def __init__(self, objective: str = "none", copy_cap: Optional[int] = None):
+        self.model = CspModel()
+        self.objective = objective
+        self.copy_cap = copy_cap
+        self.shape: Optional[TheoryShape] = None
+        # growing ids of the shape's variables, by shape id
+        self.bool_ids: list[int] = []
+        self.int_ids: list[int] = []
+        self.flow_id, self.use_id = {}, {}
+        self.left_id, self.right_id, self.start_id, self.end_id = {}, {}, {}, {}
+        self.boundary_id, self.split_id = {}, {}
+        self._family_rows: list[list[int]] = [[] for _ in self._families(objective)]
+
+    def _copies_final(self, shape: TheoryShape) -> bool:
+        return self.copy_cap is not None and shape.copy_cap == self.copy_cap
+
+    def advance(self, shape: TheoryShape) -> tuple[CspModel, int, list[int]]:
+        """Grow to ``shape`` and return its model, the number of stable rows
+        that open it (the rows after them are this count's tail), and the
+        row indices family by family, in the order :func:`encode` writes the
+        families.  The model holds every variable declared so far, with
+        ``shape``'s domains."""
+        prev, m = self.shape, self.model
+        if prev is None:
+            self._start(shape)
+            self.t0 = self.k0 = 1
+            final_before = False
+        elif shape.n_stages <= prev.n_stages:
+            raise ValueError(f"stage counts must rise: {prev.n_stages} then {shape.n_stages}")
+        else:
+            self.t0, self.k0 = prev.n_stages + 1, prev.copy_cap + 1
+            final_before = self._copies_final(prev)
+        self.shape = shape
+        for name in shape.bool_names[len(self.bool_ids) :]:
+            self.bool_ids.append(m.new_bool(name))
+        for name, lo, hi in shape.int_decls[len(self.int_ids) :]:
+            self.int_ids.append(m.new_int(name, lo, hi))
+        for gid, decl in zip(self.int_ids, shape.int_decls):
+            m.int_decls[gid] = decl
+        for mine, theirs, ids in (
+            (self.flow_id, shape.flow_id, self.bool_ids),
+            (self.use_id, shape.use_id, self.bool_ids),
+            (self.left_id, shape.left_id, self.int_ids),
+            (self.right_id, shape.right_id, self.int_ids),
+            (self.start_id, shape.start_id, self.int_ids),
+            (self.end_id, shape.end_id, self.int_ids),
+            (self.boundary_id, shape.boundary_id, self.int_ids),
+            (self.split_id, shape.split_id, self.int_ids),
+        ):
+            for key, sid in theirs.items():
+                if key not in mine:
+                    mine[key] = ids[sid]
+        tail: list = []
+        self.tail = tail.append
+        # rows over the copy set are stable once the set stops growing; they
+        # are new at every stage until the count at which it stopped
+        self.set_add = m.add if self._copies_final(shape) else self.tail
+        self.set_t0 = self.t0 if final_before else 1
+        tail_spans = []
+        for rows, emit in zip(self._family_rows, self._families(self.objective)):
+            first, tail_first = len(m.constraints), len(tail)
+            emit()
+            rows.extend(range(first, len(m.constraints)))
+            tail_spans.append((tail_first, len(tail)))
+        n_stable = len(m.constraints)
+        order: list[int] = []
+        for rows, (first, end) in zip(self._family_rows, tail_spans):
+            order += rows
+            order += range(n_stable + first, n_stable + end)
+        probe = CspModel(list(m.bool_names), list(m.int_decls), m.constraints + tail, m.objective)
+        return probe, n_stable, order

@@ -10,9 +10,9 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .domain import Domain
-from .encoder import cost_scale, encode
+from .encoder import GrowingEncoder, cost_scale
 from .intervals import Interval
-from .solver import Assignment, SolverConfig, solve
+from .solver import Assignment, Engine, SolverConfig, solve
 from .theory import TheoryShape, instantiate
 
 FOUND, EXHAUSTED, RESOURCE_LIMIT = "found", "exhausted", "limit"
@@ -162,7 +162,7 @@ class FindOutcome:
     nodes: int = 0
     wall_time: float = 0.0
     minimal_n_guaranteed: bool = True
-    model_stats: tuple[int, int] = (0, 0)  # (bools, ints) of the solved model
+    model_stats: tuple[int, int] = (0, 0)  # (bools, ints) of the last probed model
     last_n: Optional[int] = None  # the last stage count probed
 
     @property
@@ -188,10 +188,13 @@ def find_plan(
 ) -> FindOutcome:
     """Probe stage counts in order and decode the first satisfiable theory.
 
-    Each probe builds a fresh shape and model; with an objective the plan is
-    optimal for the first satisfiable stage count only.  Geometric probing
-    skips stage counts, so it cannot guarantee the minimal one.  Each probe
-    gets the remainder of the limits' time budget and their full node budget.
+    The probes share one growing model and one compiled engine: each probe
+    encodes and compiles once only the rows new at its stage count, plus a
+    small tail of rows that depend on the count, then propagates from its
+    own root domains and searches.  With an objective the plan is optimal
+    for the first satisfiable stage count only.  Geometric probing skips
+    stage counts, so it cannot guarantee the minimal one.  Each probe gets
+    the remainder of the limits' time budget and their full node budget.
     """
     if limits.max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -201,57 +204,54 @@ def find_plan(
         raise ValueError("budgets must be positive")
     started = time.monotonic()
     total_nodes = 0
+    grower = GrowingEncoder(objective, limits.copy_cap)
+    engine = Engine()
+    model = None
     last_n = None
+
+    def outcome(status: str, **found) -> FindOutcome:
+        return FindOutcome(
+            status,
+            nodes=total_nodes,
+            wall_time=time.monotonic() - started,
+            minimal_n_guaranteed=not geometric,
+            model_stats=(model.n_bools, model.n_ints),
+            last_n=last_n,
+            **found,
+        )
+
     for n in _n_schedule(limits.max_n, geometric):
         if limits.horizon is not None and limits.horizon < n:
             break
         last_n = n
         shape = instantiate(d, n, limits.copy_cap, limits.horizon)
-        model = encode(shape, objective)
+        model, n_stable, order = grower.advance(shape)
+        engine.load(model, n_stable, order)
         remaining = limits.time_budget - (time.monotonic() - started)
         if remaining <= 0:
-            return FindOutcome(
-                RESOURCE_LIMIT,
-                nodes=total_nodes,
-                wall_time=time.monotonic() - started,
-                minimal_n_guaranteed=not geometric,
-                last_n=n,
-            )
+            return outcome(RESOURCE_LIMIT)
         result = solve(
-            model, SolverConfig(time_budget=remaining, node_budget=limits.node_budget)
+            model,
+            SolverConfig(time_budget=remaining, node_budget=limits.node_budget),
+            engine,
         )
         total_nodes += result.nodes
         if result.status == "limit":
-            return FindOutcome(
-                RESOURCE_LIMIT,
-                nodes=total_nodes,
-                wall_time=time.monotonic() - started,
-                minimal_n_guaranteed=not geometric,
-                last_n=n,
-            )
+            return outcome(RESOURCE_LIMIT)
         if result.is_sat:
-            plan, diagram = decode(shape, result.assignment)
+            values = result.assignment
+            plan, diagram = decode(
+                shape,
+                Assignment(
+                    tuple(values.bools[i] for i in grower.bool_ids),
+                    tuple(values.ints[i] for i in grower.int_ids),
+                ),
+            )
             if result.objective is not None:
                 scale = cost_scale(d) if objective == "costs" else 1
                 plan.objective = Fraction(result.objective, scale)
-            return FindOutcome(
-                FOUND,
-                plan,
-                diagram,
-                n,
-                total_nodes,
-                time.monotonic() - started,
-                minimal_n_guaranteed=not geometric,
-                model_stats=(model.n_bools, model.n_ints),
-                last_n=n,
-            )
-    return FindOutcome(
-        EXHAUSTED,
-        nodes=total_nodes,
-        wall_time=time.monotonic() - started,
-        minimal_n_guaranteed=not geometric,
-        last_n=last_n,
-    )
+            return outcome(FOUND, plan=plan, diagram=diagram, n_found=n)
+    return outcome(EXHAUSTED)
 
 
 # -- plan document format ----------------------------------------------------

@@ -3,17 +3,21 @@ consistency, guard/reification propagation, and branch-and-bound
 optimization, plus an exhaustive enumeration oracle for small models.
 
 The engine compiles each row of the model, as written, into a flat tuple
-over a unified variable space (Booleans first, then integers); an
-exactly-one row compiles as the linear equality it is.
+over one variable space in which a variable gets its place when the engine
+first meets it (for a single model: the Booleans, then the integers); an
+exactly-one row compiles as the linear equality it is.  A model that grows
+keeps its compiled rows: only new rows and a per-model tail are compiled.
 
 Branching is static and reads no variable names: first the Booleans, those
 watched by the most rows first (ties in id order), then the integers in
-declaration order.  Every branch tries the lower half of the domain first,
-so a Boolean tries false first.  Names are labels for the text form only.
+declaration order, those in the objective last.  Every branch tries the
+lower half of the domain first, so a Boolean tries false first.  Names are
+labels for the text form only.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +26,7 @@ from .cpmodel import (
     BOOL,
     EQ,
     GE,
+    INT,
     LE,
     Clause,
     CspModel,
@@ -37,6 +42,7 @@ from .cpmodel import (
 
 __all__ = [
     "Assignment",
+    "Engine",
     "GuardExceededError",
     "SolveResult",
     "SolverConfig",
@@ -152,19 +158,25 @@ _OP_LE, _OP_GE, _OP_EQ = 0, 1, 2
 _OP_CODE = {LE: _OP_LE, GE: _OP_GE, EQ: _OP_EQ}
 
 
-class _Engine:
-    """Trail-based propagation and chronological backtracking search."""
+class Engine:
+    """Trail-based propagation and chronological backtracking search.
 
-    def __init__(self, model: CspModel):
-        model.check_well_formed()
-        self.model = model
-        self.nb = model.n_bools
-        self.nv = self.nb + model.n_ints
-        self.lo = [0] * self.nb + [d[1] for d in model.int_decls]
-        self.hi = [1] * self.nb + [d[2] for d in model.int_decls]
-        self.trail: list[tuple[int, bool, int]] = []
-        self.watchers: list[list[int]] = [[] for _ in range(self.nv)]
+    Each variable gets a uid when the engine first meets it, so compiled
+    rows stay valid while the model grows.  :meth:`load` takes on a larger
+    model: its rows past the stable ones compiled so far are compiled once,
+    and the rest form a tail that replaces the previous one.
+    """
+
+    def __init__(self, model: Optional[CspModel] = None):
+        self.lo: list[int] = []
+        self.hi: list[int] = []
+        self.bool_uid: list[int] = []  # by model id
+        self.int_uid: list[int] = []
+        self.watchers: list[list[int]] = []
         self.cons: list[tuple] = []
+        self.n_stable = 0
+        self.tail_uids: list[int] = []  # uids watched by rows past the stable ones
+        self.trail: list[tuple[int, bool, int]] = []
         self.queued: list[bool] = []
         self.queue: list[int] = []
         self.conflict = False
@@ -172,25 +184,79 @@ class _Engine:
         # constraints observed satisfied sleep until the next backtrack
         self.epoch = 0
         self.sleep: list[int] = []
-        for con in model.constraints:
+        self.order: Optional[list[int]] = None
+        if model is not None:
+            self.load(model, len(model.constraints))
+
+    def load(
+        self, model: CspModel, n_stable: int, queue_order: Optional[list[int]] = None
+    ) -> None:
+        """Take on ``model``, whose first ``n_stable`` rows extend the stable
+        rows compiled so far; its other rows replace the previous tail and
+        any bound rows.  Every bound restarts from the model's domains and
+        every row is queued, in ``queue_order`` (row indices, the last one
+        propagated first; model order by default)."""
+        cut = self.n_stable
+        watchers = self.watchers
+        for uid in self.tail_uids:
+            watch = watchers[uid]
+            while watch and watch[-1] >= cut:
+                watch.pop()
+        self.tail_uids = []
+        del self.cons[cut:], self.sleep[cut:]
+        model.check_well_formed(cut)
+        for uids, count in ((self.bool_uid, model.n_bools), (self.int_uid, model.n_ints)):
+            for _ in range(len(uids), count):
+                uids.append(len(self.lo))
+                self.lo.append(0)
+                self.hi.append(0)
+                watchers.append([])
+        lo, hi = self.lo, self.hi
+        for uid in self.bool_uid:
+            lo[uid], hi[uid] = 0, 1
+        for uid, (_, d_lo, d_hi) in zip(self.int_uid, model.int_decls):
+            lo[uid], hi[uid] = d_lo, d_hi
+        self.n_stable = n_stable
+        for con in itertools.islice(model.constraints, cut, None):
             self._compile(con)
-        self.order = sorted(range(self.nb), key=lambda i: -len(self.watchers[i]))
-        self.order += range(self.nb, self.nv)
+        self.model = model
+        self.root_queue = list(range(len(self.cons))) if queue_order is None else queue_order
+        self.trail = []
+        self.reset()
+        self.nodes = 0
+        self.order = None
+
+    def _branch_order(self) -> list[int]:
+        """Booleans watched by the most rows first, ties in id order, then
+        the integers in declaration order, those in the objective last."""
+        watchers = self.watchers
+        order = sorted(self.bool_uid, key=lambda uid: -len(watchers[uid]))
+        last = {self.int_uid[t.var] for t in self.model.objective or () if t.space == INT}
+        order += [uid for uid in self.int_uid if uid not in last]
+        order += [uid for uid in self.int_uid if uid in last]
+        return order
 
     # -- compilation --------------------------------------------------------
 
-    def _uid(self, space: str, var: int) -> int:
-        return var if space == BOOL else self.nb + var
+    def _lits(self, lits) -> tuple[tuple[int, int], ...]:
+        bool_uid = self.bool_uid
+        return tuple((bool_uid[l.var], 1 if l.val else 0) for l in lits)
+
+    def _terms(self, terms) -> tuple[tuple[int, int], ...]:
+        bool_uid, int_uid = self.bool_uid, self.int_uid
+        return tuple(
+            (t.coef, bool_uid[t.var] if t.space == BOOL else int_uid[t.var]) for t in terms
+        )
 
     def _atom(self, atom) -> tuple[int, int, int]:
         if isinstance(atom, Lit):
-            return (atom.var, _OP_EQ, 1 if atom.val else 0)
-        return (self.nb + atom.var, _OP_CODE[atom.op], atom.k)
+            return (self.bool_uid[atom.var], _OP_EQ, 1 if atom.val else 0)
+        return (self.int_uid[atom.var], _OP_CODE[atom.op], atom.k)
 
     def _body(self, body):
         if isinstance(body, Clause):
-            return ("c", tuple((l.var, 1 if l.val else 0) for l in body.lits))
-        terms = tuple((t.coef, self._uid(t.space, t.var)) for t in body.terms)
+            return ("c", self._lits(body.lits))
+        terms = self._terms(body.terms)
         neg = tuple((-c, u) for c, u in terms)
         return ("l", 0 if body.op == LE else 1, terms, neg, body.const)
 
@@ -200,15 +266,18 @@ class _Engine:
         self.queued.append(True)
         self.queue.append(idx)
         self.sleep.append(-1)
-        for uid in set(uids):
+        uids = set(uids)
+        for uid in uids:
             self.watchers[uid].append(idx)
+        if idx >= self.n_stable:
+            self.tail_uids.extend(uids)
 
     def _compile(self, con) -> None:
         if isinstance(con, Clause):
-            lits = tuple((l.var, 1 if l.val else 0) for l in con.lits)
+            lits = self._lits(con.lits)
             self._register((_CL, lits), [u for u, _ in lits])
         elif isinstance(con, Lin):
-            terms = tuple((t.coef, self._uid(t.space, t.var)) for t in con.terms)
+            terms = self._terms(con.terms)
             if con.op == LE:
                 self._register((_LE, terms, con.const), [u for _, u in terms])
             else:
@@ -221,7 +290,7 @@ class _Engine:
             uids += [u for u, _ in body[1]] if body[0] == "c" else [u for _, u in body[2]]
             self._register((_IMP, guard, body), uids)
         elif isinstance(con, IffConj):
-            lit = (con.lit.var, 1 if con.lit.val else 0)
+            lit = self._lits((con.lit,))[0]
             atoms = tuple(self._atom(a) for a in con.atoms)
             self._register((_IFF, lit, atoms), [lit[0]] + [a[0] for a in atoms])
         elif isinstance(con, ExactlyOne):
@@ -516,9 +585,9 @@ class _Engine:
             if done and not self.conflict:
                 sleep[idx] = epoch
         if self.conflict:
-            queue.clear()
-            for idx in range(len(queued)):
+            for idx in queue:
                 queued[idx] = False
+            queue.clear()
             return False
         return True
 
@@ -551,6 +620,8 @@ class _Engine:
     def search(self, deadline: float, node_budget: int):
         if not self.propagate():
             return UNSAT, None
+        if self.order is None:
+            self.order = self._branch_order()
         stack: list[list] = []
         pos = self._next_var(0)
         if pos == len(self.order):
@@ -585,27 +656,34 @@ class _Engine:
         return UNSAT, None
 
     def _extract(self) -> Assignment:
-        bools = tuple(bool(self.lo[i]) for i in range(self.nb))
-        ints = tuple(self.lo[self.nb + i] for i in range(self.model.n_ints))
-        return Assignment(bools, ints)
+        lo = self.lo
+        return Assignment(
+            tuple(bool(lo[uid]) for uid in self.bool_uid), tuple(lo[uid] for uid in self.int_uid)
+        )
 
     def reset(self) -> None:
+        """Back to the root: every row queued, bound rows after the rest."""
         self._undo_to(0)
-        self.queue = list(range(len(self.cons)))
+        self.queue = self.root_queue + list(range(len(self.root_queue), len(self.cons)))
         self.queued = [True] * len(self.cons)
 
     def add_bound(self, terms: tuple[Term, ...], const: int) -> None:
-        compiled_terms = tuple((t.coef, self._uid(t.space, t.var)) for t in terms)
+        compiled_terms = self._terms(terms)
         self._register((_LE, compiled_terms, const), [u for _, u in compiled_terms])
 
 
-def solve(m: CspModel, cfg: SolverConfig = SolverConfig()) -> SolveResult:
+def solve(
+    m: CspModel, cfg: SolverConfig = SolverConfig(), engine: Optional[Engine] = None
+) -> SolveResult:
     """Decide satisfiability (optimizing when the model has an objective).
 
-    Every satisfying assignment returned has been re-checked against the raw
-    constraint list; optimal results come from a closed branch-and-bound.
+    ``engine``, if given, has just loaded ``m`` (see :meth:`Engine.load`);
+    otherwise ``m`` is compiled here.  Every satisfying assignment returned
+    has been re-checked against the raw constraint list; optimal results
+    come from a closed branch-and-bound.
     """
-    engine = _Engine(m)
+    if engine is None:
+        engine = Engine(m)
     deadline = time.monotonic() + cfg.time_budget
     status, assignment = engine.search(deadline, cfg.node_budget)
     if status == LIMIT:

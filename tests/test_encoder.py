@@ -6,10 +6,24 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 from randgen import random_tiny_domain
 from tqaplan.benchgen import GadgetSpec, gen_cushing
-from tqaplan.cpmodel import Clause, CspModel, ExactlyOne, Lin, Lit, Term, INT, EQ, export_model
+from tqaplan.cpmodel import (
+    BOOL,
+    EQ,
+    INT,
+    Clause,
+    CspModel,
+    ExactlyOne,
+    IffConj,
+    Implies,
+    Lin,
+    Lit,
+    Term,
+    export_model,
+)
 from tqaplan.domain import (
     ConstraintRel,
     ConstraintSpec,
@@ -21,7 +35,7 @@ from tqaplan.domain import (
     TemporalAction,
     parse_domain,
 )
-from tqaplan.encoder import Encoder, encode
+from tqaplan.encoder import Encoder, GrowingEncoder, encode
 from tqaplan.solver import GuardExceededError, SolverConfig, solve
 from tqaplan.theory import default_horizon, instantiate
 from tqaplan.validator import enumerate_models
@@ -395,3 +409,77 @@ def test_tiny_domain_models_are_byte_identical_to_the_golden_digest():
                 for objective in ("none", "costs", "makespan"):
                     digest.update(export_model(encode(shape, objective)).encode())
     assert digest.hexdigest() == GOLDEN_TINY_DIGEST
+
+
+def _named_rows(model):
+    """The rows, the objective and the domains of a model, with variable names
+    in place of ids, so that models numbered differently compare."""
+    bools, ints = model.bool_names, [name for name, _, _ in model.int_decls]
+
+    def atoms(items):
+        return " ".join(
+            f"{'+' if a.val else '-'}{bools[a.var]}" if isinstance(a, Lit)
+            else f"{ints[a.var]}{a.op}{a.k}"
+            for a in items
+        )
+
+    def terms(items):
+        return " ".join(f"{t.coef}*{(bools if t.space == BOOL else ints)[t.var]}" for t in items)
+
+    def row(con):
+        if isinstance(con, Lin):
+            return f"lin {con.op} {con.const}: {terms(con.terms)}"
+        if isinstance(con, Implies):
+            return f"imp {atoms(con.guard)} -> {row(con.body)}"
+        if isinstance(con, IffConj):
+            return f"iff {atoms((con.lit,))} = {atoms(con.atoms)}"
+        return f"{type(con).__name__} {atoms(con.lits)}"
+
+    objective = terms(model.objective) if model.objective is not None else None
+    domains = {name: (lo, hi) for name, lo, hi in model.int_decls}
+    return Counter(map(row, model.constraints)), objective, set(bools), domains
+
+
+STRUCTURE_SETTINGS = [
+    (horizon, objective) for horizon in (None, 9) for objective in ("none", "costs", "makespan")
+]
+
+
+def _growing_matches_encode(domain, cap, horizon, objective, counts=(1, 2, 3, 4)):
+    grower = GrowingEncoder(objective, cap)
+    for n in counts:
+        model, n_stable, order = grower.advance(instantiate(domain, n, cap, horizon))
+        assert sorted(order) == list(range(len(model.constraints)))
+        assert 0 < n_stable <= len(model.constraints)
+        single = encode(instantiate(domain, n, cap, horizon), objective)
+        assert _named_rows(model) == _named_rows(single), (cap, horizon, objective, n)
+
+
+def test_growing_model_equals_the_single_count_model():
+    """At every stage count the grown model is the model encode writes, up to
+    the numbering of its variables: the same multiset of rows, domains and
+    objective.  The gadgets run every cap, horizon and objective; each random
+    domain runs every cap, with the horizon and objective taken in turn."""
+    for spec in (("I", 2, None), ("II", 1, 2), ("III", 1, 2)):
+        domain = gen_cushing(GadgetSpec(*spec))
+        for cap in (1, 2, None):
+            for horizon, objective in STRUCTURE_SETTINGS:
+                _growing_matches_encode(domain, cap, horizon, objective)
+        # counts that skip, as the geometric schedule does
+        _growing_matches_encode(domain, None, None, "makespan", (1, 2, 4, 8))
+    for seed in range(100):
+        domain = random_tiny_domain(random.Random(seed))
+        for ci, cap in enumerate((1, 2, None)):
+            horizon, objective = STRUCTURE_SETTINGS[(3 * seed + ci) % len(STRUCTURE_SETTINGS)]
+            _growing_matches_encode(domain, cap, horizon, objective)
+
+
+def test_growing_model_rejects_a_falling_stage_count():
+    domain = gen_cushing(GadgetSpec("I", 1, None))
+    grower = GrowingEncoder("none", 1)
+    grower.advance(instantiate(domain, 2, 1))
+    try:
+        grower.advance(instantiate(domain, 2, 1))
+    except ValueError:
+        return
+    raise AssertionError("a repeated stage count was accepted")

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from randgen import random_tiny_domain
+from tqaplan.benchgen import GadgetSpec, gen_cushing
+from tqaplan.cli import CSV_COLUMNS, _run_record
 from tqaplan.domain import parse_domain
-from tqaplan.encoder import encode
+from tqaplan.encoder import cost_scale, encode
 from tqaplan.intervals import Interval
 from tqaplan.search import (
     ActionKey,
@@ -17,6 +21,7 @@ from tqaplan.search import (
     decode,
     diagram_from_plan,
     find_plan,
+    _n_schedule,
     plan_from_document,
     plan_to_document,
 )
@@ -62,6 +67,79 @@ def test_resource_limit_outcome():
         limits=SearchLimits(max_n=3, time_budget=60, node_budget=1),
     )
     assert outcome.status in ("found", "limit")  # propagation may settle it without nodes
+
+
+def test_limit_and_exhaustion_report_the_last_probed_model():
+    exhausted = find_plan(NO_RAISER, limits=SearchLimits(max_n=3))
+    last = encode(instantiate(NO_RAISER, 3))
+    assert (exhausted.status, exhausted.last_n) == ("exhausted", 3)
+    assert exhausted.model_stats == (last.n_bools, last.n_ints) != (0, 0)
+
+    # II m=1 h=2 at copy cap 2 needs search nodes from N = 5 on
+    domain = gen_cushing(GadgetSpec("II", 1, 2))
+    limited = find_plan(domain, limits=SearchLimits(copy_cap=2, horizon=22, node_budget=1))
+    assert limited.status == "limit"
+    last = encode(instantiate(domain, limited.last_n, 2, 22))
+    assert limited.model_stats == (last.n_bools, last.n_ints)
+
+    for outcome in (exhausted, limited):
+        record = _run_record("x", outcome)
+        assert record["last_n"] == outcome.last_n
+        assert (record["bool_vars"], record["int_vars"]) == outcome.model_stats
+    assert "last_n" not in CSV_COLUMNS
+
+
+def _reference_find_plan(d, objective, limits, geometric):
+    """find_plan as a loop that builds every probe afresh: instantiate,
+    encode and solve at each stage count.  Returns what find_plan reports."""
+    nodes = 0
+    for n in _n_schedule(limits.max_n, geometric):
+        if limits.horizon is not None and limits.horizon < n:
+            break
+        shape = instantiate(d, n, limits.copy_cap, limits.horizon)
+        result = solve(encode(shape, objective), SolverConfig(time_budget=60))
+        nodes += result.nodes
+        if result.is_sat:
+            plan, _ = decode(shape, result.assignment)
+            if result.objective is not None:
+                scale = cost_scale(d) if objective == "costs" else 1
+                plan.objective = Fraction(result.objective, scale)
+            return "found", n, nodes, plan.objective, plan_to_document(plan)
+        assert result.is_unsat
+    return "exhausted", None, nodes, None, None
+
+
+def _reported(outcome):
+    plan = outcome.plan
+    return (
+        outcome.status,
+        outcome.n_found,
+        outcome.nodes,
+        plan.objective if plan else None,
+        plan_to_document(plan) if plan else None,
+    )
+
+
+def test_find_plan_matches_a_fresh_model_per_probe():
+    """One growing model and engine give the status, stage count, node count,
+    objective and plan document of a loop that rebuilds every probe."""
+    cases = [
+        (gen_cushing(GadgetSpec("I", 3, None)), "none", SearchLimits(copy_cap=1)),
+        # found at N = 9; the geometric schedule probes 1, 2, 4, 8 and exhausts
+        (gen_cushing(GadgetSpec("II", 1, 2)), "none", SearchLimits(9, copy_cap=2, horizon=22)),
+    ]
+    objectives = ("none", "costs", "makespan")
+    for seed in range(100):
+        domain = random_tiny_domain(random.Random(seed))
+        cap = (1, 2, None)[seed % 3]
+        horizon = None if seed % 2 else 6
+        limits = SearchLimits(max_n=4, copy_cap=cap, horizon=horizon, time_budget=60)
+        cases.append((domain, objectives[seed % 3], limits))
+    for domain, objective, limits in cases:
+        for geometric in (False, True):
+            got = find_plan(domain, objective, limits, geometric)
+            want = _reference_find_plan(domain, objective, limits, geometric)
+            assert _reported(got) == want
 
 
 def test_objective_values_descaled():

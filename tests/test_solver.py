@@ -215,3 +215,19 @@ def test_search_does_not_read_variable_names(n, objective):
     assert first.objective == second.objective
     assert first.nodes == second.nodes
     assert first.assignment == second.assignment
+
+
+@pytest.mark.parametrize("objective_first", [True, False])
+def test_objective_integers_are_branched_last(objective_first):
+    # minimize y subject to x + y >= 3: where y is declared must not change
+    # the search, since the objective's integers are branched last
+    m = CspModel()
+    if objective_first:
+        y, x = m.new_int("y", 0, 3), m.new_int("x", 0, 3)
+    else:
+        x, y = m.new_int("x", 0, 3), m.new_int("y", 0, 3)
+    m.add(Lin((Term(-1, INT, x), Term(-1, INT, y)), LE, -3))
+    m.minimize((Term(1, INT, y),))
+    res = solve(m)
+    assert (res.objective, res.nodes) == (0, 5)
+    assert (res.assignment.ints[x], res.assignment.ints[y]) == (3, 0)
