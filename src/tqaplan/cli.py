@@ -19,7 +19,14 @@ import sys
 from pathlib import Path
 
 from .benchgen import GadgetSpec, gen_cushing
-from .domain import Domain, DomainFormatError, parse_domain, serialize_domain, validate_domain
+from .domain import (
+    DOMAIN_KEYS,
+    Domain,
+    DomainFormatError,
+    parse_domain,
+    serialize_domain,
+    validate_domain,
+)
 from .cpmodel import export_model
 from .encoder import encode
 from .search import (
@@ -27,6 +34,7 @@ from .search import (
     FOUND,
     FindOutcome,
     SearchLimits,
+    _n_schedule,
     find_plan,
     plan_from_document,
     plan_to_document,
@@ -69,12 +77,11 @@ def _load_domain(path: str, strict: bool) -> Domain:
     text = Path(path).read_text(encoding="utf-8")
     if not strict:
         doc = json.loads(text)
-        known = {"fluents", "actors", "skills", "interference", "temporal_actions", "init", "goal"}
         if isinstance(doc, dict):
-            dropped = set(doc) - known
+            dropped = set(doc) - set(DOMAIN_KEYS)
             if dropped:
                 print(f"warning: ignoring unknown keys {sorted(dropped)}", file=sys.stderr)
-            text = json.dumps({k: v for k, v in doc.items() if k in known})
+            text = json.dumps({k: v for k, v in doc.items() if k in DOMAIN_KEYS})
     domain = parse_domain(text)
     diags = validate_domain(domain)
     if diags:
@@ -128,7 +135,11 @@ def cmd_solve(args) -> int:
             reason = f"--horizon {args.horizon} admits no more stages"
         else:
             reason = f"--max-n {args.max_n} reached"
-        print(f"no plan up to {outcome.last_n} stages ({reason})", file=sys.stderr)
+        if args.geometric_n:
+            probed = "at stage counts " + ", ".join(map(str, _n_schedule(outcome.last_n, True)))
+        else:
+            probed = f"up to {outcome.last_n} stages"
+        print(f"no plan {probed} ({reason})", file=sys.stderr)
         return 1
     print("resource limit reached", file=sys.stderr)
     return 2
@@ -224,6 +235,11 @@ def _add_model_flags(sub) -> None:
     sub.add_argument(
         "--objective", choices=("none", "makespan", "costs"), default="none"
     )
+
+
+def _add_document_flags(sub) -> None:
+    """For the commands that read a domain document."""
+    sub.add_argument("domain")
     sub.add_argument(
         "--strict-io",
         action=argparse.BooleanOptionalAction,
@@ -247,17 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_solve = subs.add_parser("solve", help="search stage counts and write a plan")
-    p_solve.add_argument("domain")
+    _add_document_flags(p_solve)
     p_solve.add_argument("--plan-out", default=None, help="plan document path")
     _add_search_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_val = subs.add_parser("validate", help="check a plan document against a domain")
-    p_val.add_argument("domain")
+    _add_document_flags(p_val)
     p_val.add_argument("plan")
-    p_val.add_argument(
-        "--strict-io", action=argparse.BooleanOptionalAction, default=True
-    )
     p_val.set_defaults(func=cmd_validate)
 
     p_gen = subs.add_parser("gen", help="generate a benchmark domain")
@@ -268,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_enc = subs.add_parser("encode", help="dump the constraint model for one stage count")
-    p_enc.add_argument("domain")
+    _add_document_flags(p_enc)
     p_enc.add_argument("--n", type=int, default=1, help="stage count to instantiate")
     p_enc.add_argument("--out", default=None)
     _add_model_flags(p_enc)

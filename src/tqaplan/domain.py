@@ -175,6 +175,10 @@ def _expect_str(value: Any, path: str) -> str:
     return value
 
 
+# the top-level keys of a domain document
+DOMAIN_KEYS = ("fluents", "actors", "skills", "interference", "temporal_actions", "init", "goal")
+
+
 def parse_domain(text: str) -> Domain:
     """Parse a domain document (strict: unknown keys are rejected).
 
@@ -187,11 +191,7 @@ def parse_domain(text: str) -> Domain:
         raise DomainFormatError("$", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DomainFormatError("$", "top level must be an object")
-    _expect_keys(
-        doc,
-        ("fluents", "actors", "skills", "interference", "temporal_actions", "init", "goal"),
-        "$",
-    )
+    _expect_keys(doc, DOMAIN_KEYS, "$")
 
     fluents = []
     for i, entry in enumerate(_expect_list(doc.get("fluents", []), "$.fluents")):

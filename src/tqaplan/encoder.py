@@ -9,15 +9,15 @@ produce byte-identical models.
 Every family walks a stage range and a copy range.  A row belongs to the
 stage and copy it first exists at; rows whose form depends on the stage
 count itself (the horizon, the last stage, the copy set while it can still
-grow) go through one hook, :attr:`Encoder.tail`.  :func:`encode` walks the
-full ranges with the hook writing inline, so it writes one model in one
-fixed order.  :class:`GrowingEncoder` walks only what is new at each stage
-count and keeps the hooked rows apart, as a tail rewritten at every count.
+grow) go through one hook, :attr:`Encoder.tail`.  One :class:`Encoder`
+grows the models of rising stage counts: each :meth:`Encoder.advance`
+walks only what is new and keeps the hooked rows apart, as a tail rewritten
+at every count.  :func:`encode` is the first advance of a fresh encoder
+with the hook writing in place, so it writes one model in one fixed order.
 """
 
 from __future__ import annotations
 
-import functools
 from math import lcm
 from typing import Callable, Optional
 
@@ -51,42 +51,29 @@ def cost_scale(domain: Domain) -> int:
 
 
 class Encoder:
-    """Stateful emitter; create one per (shape, objective) pair and call
-    :meth:`encode`, or drive the individual emit steps in tests."""
+    """The models of one domain at rising stage counts, grown as one model.
 
-    def __init__(self, shape: TheoryShape):
+    Each :meth:`advance` takes the next shape (same domain, copy cap and
+    horizon argument, more stages) and writes, once, only the rows that are
+    new there: the rows of its new stages and of its new copies.  A variable
+    keeps the id it got when first declared, so ids follow the order of
+    growth; the first advance numbers them as the shape does.  The rows that
+    depend on the stage count, and every row over the copy set while the set
+    can still grow, form a tail that is written afresh at every count.
+    """
+
+    def __init__(self, objective: str = "none", copy_cap: Optional[int] = None):
         self.model = CspModel()
-        for name in shape.bool_names:
-            self.model.new_bool(name)
-        for name, lo, hi in shape.int_decls:
-            self.model.new_int(name, lo, hi)
-        self._start(shape)
-        self.shape = shape
-        self.flow_id, self.use_id = shape.flow_id, shape.use_id
-        self.left_id, self.right_id = shape.left_id, shape.right_id
-        self.start_id, self.end_id = shape.start_id, shape.end_id
-        self.boundary_id, self.split_id = shape.boundary_id, shape.split_id
-        # one stage count: every stage and copy is new, and the hook for rows
-        # that depend on the count writes inline
-        self.t0 = self.k0 = self.set_t0 = 1
-        self.tail = self.set_add = self.model.add
-
-    def _start(self, shape: TheoryShape) -> None:
-        """State that stays fixed across the stage counts of one domain."""
-        self._contains_id: dict[tuple[int, int, int], int] = {}
-        self._interior_id: dict[tuple[int, int, int], int] = {}
-        self._fall_id: dict[tuple[int, int, int, int], int] = {}
-        self._span: Optional[int] = None
-        self._skill_ais = [i for i, ref in enumerate(shape.actions) if ref.kind == "skill"]
-        # per fluent, the skill actions that can raise / lower it, in action order
-        self._raisers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
-        self._lowerers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
-        for ai in self._skill_ais:
-            skill_name = shape.actions[ai].name
-            for fluent in raises_of(shape.domain, skill_name):
-                self._raisers[fluent].append(ai)
-            for fluent in lowers(shape.domain, skill_name):
-                self._lowerers[fluent].append(ai)
+        self.objective = objective
+        self.copy_cap = copy_cap
+        self.shape: Optional[TheoryShape] = None
+        # growing ids of the shape's variables, by shape id
+        self.bool_ids: list[int] = []
+        self.int_ids: list[int] = []
+        self.flow_id, self.use_id = {}, {}
+        self.left_id, self.right_id, self.start_id, self.end_id = {}, {}, {}, {}
+        self.boundary_id, self.split_id = {}, {}
+        self._family_rows: list[list[int]] = [[] for _ in self._families()]
 
     # -- shared lookups -----------------------------------------------------
 
@@ -638,8 +625,8 @@ class Encoder:
 
     # -- objective -----------------------------------------------------------
 
-    def emit_objective(self, kind: str) -> None:
-        shape, m = self.shape, self.model
+    def emit_objective(self) -> None:
+        shape, m, kind = self.shape, self.model, self.objective
         if kind == "none":
             return
         if kind == "costs":
@@ -677,7 +664,7 @@ class Encoder:
             return
         raise ValueError(f"unknown objective kind {kind!r}; use one of {OBJECTIVE_KINDS}")
 
-    def _families(self, objective: str) -> tuple[Callable[[], None], ...]:
+    def _families(self) -> tuple[Callable[[], None], ...]:
         """The emit steps in the order their rows are written."""
         return (
             self.emit_flow,
@@ -686,60 +673,40 @@ class Encoder:
             self.emit_operational,
             self.emit_frame_and_interference,
             self.emit_implied_cuts,
-            functools.partial(self.emit_objective, objective),
+            self.emit_objective,
         )
-
-    def encode(self, objective: str = "none") -> CspModel:
-        for emit in self._families(objective):
-            emit()
-        self.model.check_well_formed()
-        return self.model
-
-
-def encode(shape: TheoryShape, objective: str = "none") -> CspModel:
-    """Pure function of (shape, objective); see :class:`Encoder`."""
-    return Encoder(shape).encode(objective)
-
-
-class GrowingEncoder(Encoder):
-    """The models of one domain at rising stage counts, grown as one model.
-
-    Each :meth:`advance` takes the next shape (same domain, copy cap and
-    horizon argument, more stages) and writes, once, only the rows that are
-    new there: the rows of its new stages and of its new copies.  A variable
-    keeps the id it got when first declared, so ids follow the order of
-    growth, not the order :func:`encode` uses.  The rows that depend on the
-    stage count, and every row over the copy set while the set can still
-    grow, form a tail that is written afresh at every count.
-    """
-
-    def __init__(self, objective: str = "none", copy_cap: Optional[int] = None):
-        self.model = CspModel()
-        self.objective = objective
-        self.copy_cap = copy_cap
-        self.shape: Optional[TheoryShape] = None
-        # growing ids of the shape's variables, by shape id
-        self.bool_ids: list[int] = []
-        self.int_ids: list[int] = []
-        self.flow_id, self.use_id = {}, {}
-        self.left_id, self.right_id, self.start_id, self.end_id = {}, {}, {}, {}
-        self.boundary_id, self.split_id = {}, {}
-        self._family_rows: list[list[int]] = [[] for _ in self._families(objective)]
 
     def _copies_final(self, shape: TheoryShape) -> bool:
         return self.copy_cap is not None and shape.copy_cap == self.copy_cap
 
-    def advance(self, shape: TheoryShape) -> tuple[CspModel, int, list[int]]:
+    def advance(
+        self, shape: TheoryShape, *, inline: bool = False
+    ) -> tuple[CspModel, int, list[int]]:
         """Grow to ``shape`` and return its model, the number of stable rows
         that open it (the rows after them are this count's tail), and the
-        row indices family by family, in the order :func:`encode` writes the
-        families.  The model holds every variable declared so far, with
-        ``shape``'s domains."""
+        row indices family by family, in the order the families are written.
+        The model holds every variable declared so far, with ``shape``'s
+        domains.  ``inline`` writes the tail in place among the stable rows,
+        for a model that will not grow (see :func:`encode`)."""
         prev, m = self.shape, self.model
         if prev is None:
-            self._start(shape)
             self.t0 = self.k0 = 1
             final_before = False
+            # state that stays fixed across the stage counts of one domain
+            self._contains_id: dict[tuple[int, int, int], int] = {}
+            self._interior_id: dict[tuple[int, int, int], int] = {}
+            self._fall_id: dict[tuple[int, int, int, int], int] = {}
+            self._span: Optional[int] = None
+            self._skill_ais = [i for i, ref in enumerate(shape.actions) if ref.kind == "skill"]
+            # per fluent, the skill actions that can raise / lower it, in action order
+            self._raisers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
+            self._lowerers: dict[str, list[int]] = {f: [] for f in shape.fluent_names}
+            for ai in self._skill_ais:
+                skill_name = shape.actions[ai].name
+                for fluent in raises_of(shape.domain, skill_name):
+                    self._raisers[fluent].append(ai)
+                for fluent in lowers(shape.domain, skill_name):
+                    self._lowerers[fluent].append(ai)
         elif shape.n_stages <= prev.n_stages:
             raise ValueError(f"stage counts must rise: {prev.n_stages} then {shape.n_stages}")
         else:
@@ -766,13 +733,13 @@ class GrowingEncoder(Encoder):
                 if key not in mine:
                     mine[key] = ids[sid]
         tail: list = []
-        self.tail = tail.append
+        self.tail = m.add if inline else tail.append
         # rows over the copy set are stable once the set stops growing; they
         # are new at every stage until the count at which it stopped
         self.set_add = m.add if self._copies_final(shape) else self.tail
         self.set_t0 = self.t0 if final_before else 1
         tail_spans = []
-        for rows, emit in zip(self._family_rows, self._families(self.objective)):
+        for rows, emit in zip(self._family_rows, self._families()):
             first, tail_first = len(m.constraints), len(tail)
             emit()
             rows.extend(range(first, len(m.constraints)))
@@ -784,3 +751,11 @@ class GrowingEncoder(Encoder):
             order += range(n_stable + first, n_stable + end)
         probe = CspModel(list(m.bool_names), list(m.int_decls), m.constraints + tail, m.objective)
         return probe, n_stable, order
+
+
+def encode(shape: TheoryShape, objective: str = "none") -> CspModel:
+    """Pure function of (shape, objective): the model of one stage count,
+    every row in place and every variable numbered as the shape numbers it."""
+    model = Encoder(objective).advance(shape, inline=True)[0]
+    model.check_well_formed()
+    return model

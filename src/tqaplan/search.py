@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .domain import Domain
-from .encoder import GrowingEncoder, cost_scale
+from .encoder import Encoder, cost_scale
 from .intervals import Interval
 from .solver import Assignment, Engine, SolverConfig, solve
 from .theory import TheoryShape, instantiate
@@ -188,13 +188,15 @@ def find_plan(
 ) -> FindOutcome:
     """Probe stage counts in order and decode the first satisfiable theory.
 
-    The probes share one growing model and one compiled engine: each probe
-    encodes and compiles once only the rows new at its stage count, plus a
-    small tail of rows that depend on the count, then propagates from its
-    own root domains and searches.  With an objective the plan is optimal
-    for the first satisfiable stage count only.  Geometric probing skips
-    stage counts, so it cannot guarantee the minimal one.  Each probe gets
-    the remainder of the limits' time budget and their full node budget.
+    The probes share one :class:`~tqaplan.encoder.Encoder` and one compiled
+    engine: each probe encodes and compiles once only the rows new at its
+    stage count, plus a small tail of rows that depend on the count, then
+    propagates from its own root domains and searches.  With an objective
+    the plan is optimal for the first satisfiable stage count only.
+    Geometric probing skips stage counts, so it cannot guarantee the
+    minimal one, and exhaustion then speaks only for the counts probed: with
+    a fixed horizon a skipped count may have a plan.  Each probe gets the
+    remainder of the limits' time budget and their full node budget.
     """
     if limits.max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -204,7 +206,7 @@ def find_plan(
         raise ValueError("budgets must be positive")
     started = time.monotonic()
     total_nodes = 0
-    grower = GrowingEncoder(objective, limits.copy_cap)
+    grower = Encoder(objective, limits.copy_cap)
     engine = Engine()
     model = None
     last_n = None

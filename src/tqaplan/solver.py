@@ -4,9 +4,12 @@ optimization, plus an exhaustive enumeration oracle for small models.
 
 The engine compiles each row of the model, as written, into a flat tuple
 over one variable space in which a variable gets its place when the engine
-first meets it (for a single model: the Booleans, then the integers); an
-exactly-one row compiles as the linear equality it is.  A model that grows
-keeps its compiled rows: only new rows and a per-model tail are compiled.
+first meets it (for a single model: the Booleans, then the integers).  Rows
+compile to two kinds: a reified conjunction, and a guarded row whose body,
+a clause or a linear row, must hold when every guard atom does.  A clause
+or linear row is a guarded row with an empty guard, and an exactly-one row
+compiles as the linear equality it is.  A model that grows keeps its
+compiled rows: only new rows and a per-model tail are compiled.
 
 Branching is static and reads no variable names: first the Booleans, those
 watched by the most rows first (ties in id order), then the integers in
@@ -150,8 +153,9 @@ def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
 
 # -- propagation engine -------------------------------------------------------
 
-# compiled constraint tags
-_CL, _LE, _EQ2, _IMP, _IFF = range(5)
+# compiled constraint tags: a guarded row (a clause or linear row is one
+# with an empty guard) and a reified conjunction
+_IMP, _IFF = range(2)
 # atom ops (compiled)
 _OP_LE, _OP_GE, _OP_EQ = 0, 1, 2
 
@@ -257,8 +261,9 @@ class Engine:
         if isinstance(body, Clause):
             return ("c", self._lits(body.lits))
         terms = self._terms(body.terms)
-        neg = tuple((-c, u) for c, u in terms)
-        return ("l", 0 if body.op == LE else 1, terms, neg, body.const)
+        if body.op == LE:
+            return ("l", 0, terms, None, body.const)
+        return ("l", 1, terms, tuple((-c, u) for c, u in terms), body.const)
 
     def _register(self, compiled, uids) -> None:
         idx = len(self.cons)
@@ -273,31 +278,23 @@ class Engine:
             self.tail_uids.extend(uids)
 
     def _compile(self, con) -> None:
-        if isinstance(con, Clause):
-            lits = self._lits(con.lits)
-            self._register((_CL, lits), [u for u, _ in lits])
-        elif isinstance(con, Lin):
-            terms = self._terms(con.terms)
-            if con.op == LE:
-                self._register((_LE, terms, con.const), [u for _, u in terms])
-            else:
-                neg = tuple((-c, u) for c, u in terms)
-                self._register((_EQ2, terms, neg, con.const), [u for _, u in terms])
-        elif isinstance(con, Implies):
-            guard = tuple(self._atom(a) for a in con.guard)
-            body = self._body(con.body)
-            uids = [a[0] for a in guard]
-            uids += [u for u, _ in body[1]] if body[0] == "c" else [u for _, u in body[2]]
-            self._register((_IMP, guard, body), uids)
-        elif isinstance(con, IffConj):
+        if isinstance(con, IffConj):
             lit = self._lits((con.lit,))[0]
             atoms = tuple(self._atom(a) for a in con.atoms)
             self._register((_IFF, lit, atoms), [lit[0]] + [a[0] for a in atoms])
-        elif isinstance(con, ExactlyOne):
+            return
+        if isinstance(con, ExactlyOne):
             # one true literal: the sum of x over positive literals and of
             # 1 - x over negative ones is 1
             terms = tuple(Term(1 if l.val else -1, BOOL, l.var) for l in con.lits)
-            self._compile(Lin(terms, EQ, 1 - sum(not l.val for l in con.lits)))
+            con = Lin(terms, EQ, 1 - sum(not l.val for l in con.lits))
+        if isinstance(con, Implies):
+            guard, body = tuple(self._atom(a) for a in con.guard), self._body(con.body)
+        else:  # a clause or linear row: the body of an empty guard
+            guard, body = (), self._body(con)
+        uids = [a[0] for a in guard]
+        uids += [u for u, _ in body[1]] if body[0] == "c" else [u for _, u in body[2]]
+        self._register((_IMP, guard, body), uids)
 
     # -- domain updates -------------------------------------------------------
 
@@ -479,18 +476,10 @@ class Engine:
                 return 0
         return -1
 
-    def _prop_body(self, body) -> bool:
-        if body[0] == "c":
-            return self._prop_clause(body[1])
-        _, eq, terms, neg, const = body
-        done = self._prop_lin_le(terms, const)
-        if eq and not self.conflict:
-            done = self._prop_lin_le(neg, -const) and done
-        return done
-
-    def _prop_imp(self, guard, body) -> bool:
-        """Returns True once the implication can no longer act (guard refuted
-        or body entailed); such rows sleep until the next backtrack."""
+    def _prop_guard(self, guard, body) -> Optional[bool]:
+        """None when every guard atom holds, so the body must hold; else
+        True once the guard is refuted (the row sleeps until the next
+        backtrack) and False while it is open."""
         lo, hi = self.lo, self.hi
         unknown = None
         unknown_count = 0
@@ -516,7 +505,7 @@ class Engine:
                     unknown_count += 1
                     unknown = atom
         if unknown_count == 0:
-            return self._prop_body(body)
+            return None
         if unknown_count == 1 and self._body_status(body) == 0:
             self._force(unknown, False)
         return False
@@ -568,20 +557,21 @@ class Engine:
             queued[idx] = False
             if sleep[idx] == epoch:
                 continue
-            con = cons[idx]
-            tag = con[0]
-            if tag == _IMP:
-                done = self._prop_imp(con[1], con[2])
-            elif tag == _CL:
-                done = self._prop_clause(con[1])
-            elif tag == _LE:
-                done = self._prop_lin_le(con[1], con[2])
-            elif tag == _EQ2:
-                done = self._prop_lin_le(con[1], con[3])
-                if not self.conflict:
-                    done = self._prop_lin_le(con[2], -con[3]) and done
+            tag, guard, body = cons[idx]  # _IFF: the literal and its atoms
+            if tag == _IFF:
+                done = self._prop_iff(guard, body)
             else:
-                done = self._prop_iff(con[1], con[2])
+                # a row whose guard holds (or is empty) propagates its body;
+                # a body entailed under current bounds lets the row sleep
+                done = self._prop_guard(guard, body) if guard else None
+                if done is None:
+                    if body[0] == "c":
+                        done = self._prop_clause(body[1])
+                    else:
+                        _, eq, terms, neg, const = body
+                        done = self._prop_lin_le(terms, const)
+                        if eq and not self.conflict:
+                            done = self._prop_lin_le(neg, -const) and done
             if done and not self.conflict:
                 sleep[idx] = epoch
         if self.conflict:
@@ -668,8 +658,7 @@ class Engine:
         self.queued = [True] * len(self.cons)
 
     def add_bound(self, terms: tuple[Term, ...], const: int) -> None:
-        compiled_terms = self._terms(terms)
-        self._register((_LE, compiled_terms, const), [u for _, u in compiled_terms])
+        self._compile(Lin(terms, LE, const))
 
 
 def solve(
@@ -739,32 +728,17 @@ def brute_force_solve(m: CspModel, guard: int = 1 << 24) -> SolveResult:
     nv = nb + ni
 
     def max_ref(con) -> int:
-        uids = []
-
-        def add_atom(a):
-            uids.append(a.var if isinstance(a, Lit) else nb + a.var)
-
-        def add_body(body):
-            if isinstance(body, Clause):
-                for l in body.lits:
-                    add_atom(l)
-            else:
-                for t in body.terms:
-                    uids.append(t.var if t.space == BOOL else nb + t.var)
-
-        if isinstance(con, (Clause, Lin)):
-            add_body(con)
-        elif isinstance(con, Implies):
-            for a in con.guard:
-                add_atom(a)
-            add_body(con.body)
-        elif isinstance(con, IffConj):
-            add_atom(con.lit)
-            for a in con.atoms:
-                add_atom(a)
-        elif isinstance(con, ExactlyOne):
-            for l in con.lits:
-                add_atom(l)
+        """The last variable a row mentions (Booleans first), or -1."""
+        atoms: tuple = ()
+        if isinstance(con, Implies):
+            atoms, con = con.guard, con.body
+        if isinstance(con, IffConj):
+            atoms = (con.lit, *con.atoms)
+        elif isinstance(con, (Clause, ExactlyOne)):
+            atoms += con.lits
+        uids = [a.var if isinstance(a, Lit) else nb + a.var for a in atoms]
+        if isinstance(con, Lin):
+            uids += [t.var if t.space == BOOL else nb + t.var for t in con.terms]
         return max(uids, default=-1)
 
     by_last_var: list[list] = [[] for _ in range(nv + 1)]

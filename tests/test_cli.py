@@ -191,6 +191,15 @@ def test_bench_bad_flag_value_is_an_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_reads_no_document_and_takes_no_strict_io_flag(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["bench", "--type", "I", "--copies", "1", "--max-copies", "1", "--out", out]
+    assert run([*argv, "--no-strict-io"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_directory_paths_are_input_errors(tmp_path, capsys):
     domain, plan = _solved_gadget(tmp_path)
     capsys.readouterr()
@@ -212,7 +221,11 @@ def test_exhaustion_names_the_last_probed_stage_count(tmp_path, capsys):
         (["--horizon", "2"], "no plan up to 2 stages (--horizon 2 admits no more stages)"),
         (["--max-n", "3"], "no plan up to 3 stages (--max-n 3 reached)"),
         (["--max-n", "3", "--horizon", "5"], "no plan up to 3 stages (--max-n 3 reached)"),
-        (["--max-n", "5", "--geometric-n"], "no plan up to 4 stages (--max-n 5 reached)"),
+        (["--max-n", "5", "--geometric-n"], "no plan at stage counts 1, 2, 4 (--max-n 5 reached)"),
+        (
+            ["--max-n", "5", "--horizon", "3", "--geometric-n"],
+            "no plan at stage counts 1, 2 (--horizon 3 admits no more stages)",
+        ),
     )
     for flags, message in cases:
         assert run(["solve", domain, *flags]) == 1

@@ -1,4 +1,4 @@
-"""The narrative demos run to completion (the long benchmark sweep excepted)."""
+"""The narrative demos run to completion."""
 
 from __future__ import annotations
 
@@ -14,7 +14,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "script",
-    ["01_interval_algebra.py", "02_encode_and_solve.py", "03_required_concurrency.py"],
+    [
+        "01_interval_algebra.py",
+        "02_encode_and_solve.py",
+        "03_required_concurrency.py",
+        "04_benchmark_sweep.py",
+    ],
 )
 def test_demo_runs(script):
     env = dict(os.environ)

@@ -35,7 +35,7 @@ from tqaplan.domain import (
     TemporalAction,
     parse_domain,
 )
-from tqaplan.encoder import Encoder, GrowingEncoder, encode
+from tqaplan.encoder import Encoder, encode
 from tqaplan.solver import GuardExceededError, SolverConfig, solve
 from tqaplan.theory import default_horizon, instantiate
 from tqaplan.validator import enumerate_models
@@ -99,9 +99,10 @@ def test_flow_init_goal_rows_force_steady_truth():
 
 def test_no_fluents_no_flow_rows():
     d = Domain((), (Skill("a", SkillKind.TIMER),))
-    enc = Encoder(instantiate(d, 2, 1, 4))
-    enc.emit_flow()
-    assert enc.model.constraints == []
+    enc = Encoder()
+    model = enc.advance(instantiate(d, 2, 1, 4), inline=True)[0]
+    flow_rows = enc._family_rows[0]  # the flow family is written first
+    assert flow_rows == [] and model.constraints
 
 
 def test_duration_forces_boundary_gap():
@@ -446,7 +447,7 @@ STRUCTURE_SETTINGS = [
 
 
 def _growing_matches_encode(domain, cap, horizon, objective, counts=(1, 2, 3, 4)):
-    grower = GrowingEncoder(objective, cap)
+    grower = Encoder(objective, cap)
     for n in counts:
         model, n_stable, order = grower.advance(instantiate(domain, n, cap, horizon))
         assert sorted(order) == list(range(len(model.constraints)))
@@ -476,7 +477,7 @@ def test_growing_model_equals_the_single_count_model():
 
 def test_growing_model_rejects_a_falling_stage_count():
     domain = gen_cushing(GadgetSpec("I", 1, None))
-    grower = GrowingEncoder("none", 1)
+    grower = Encoder("none", 1)
     grower.advance(instantiate(domain, 2, 1))
     try:
         grower.advance(instantiate(domain, 2, 1))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -140,6 +141,52 @@ def test_find_plan_matches_a_fresh_model_per_probe():
             got = find_plan(domain, objective, limits, geometric)
             want = _reference_find_plan(domain, objective, limits, geometric)
             assert _reported(got) == want
+
+
+# (type, copies, height), objective, limits, and what find_plan reports:
+# status, n*, objective value and the node count of every probe
+PINNED_PROBES = [
+    (("II", 3, 3), "makespan", SearchLimits(copy_cap=1), ("found", 14, 28, [0] * 13 + [54])),
+    (("III", 3, 3), "costs", SearchLimits(copy_cap=1), ("found", 17, 414, [0] * 16 + [54])),
+    (
+        ("II", 1, 2), "none", SearchLimits(copy_cap=2, horizon=22),
+        ("found", 9, None, [0, 0, 0, 2, 6, 6, 22, 76, 53]),
+    ),
+    (
+        ("II", 1, 2), "makespan", SearchLimits(copy_cap=2, horizon=22),
+        ("found", 9, 18, [0, 0, 0, 2, 6, 6, 22, 76, 98]),
+    ),
+    (
+        ("II", 1, 2), "none", SearchLimits(8, copy_cap=2),
+        ("exhausted", None, None, [0, 0, 0, 2, 6, 6, 22, 116]),
+    ),
+    (("II", 1, 2), "none", SearchLimits(), ("found", 9, None, [0, 0, 0, 2, 6, 6, 28, 202, 63])),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, objective, limits, want",
+    PINNED_PROBES,
+    ids=[
+        "II-m3h3-makespan", "III-m3h3-costs", "cap2-h22", "cap2-h22-makespan", "cap2-n8", "II-m1h2"
+    ],
+)
+def test_per_probe_node_counts_are_pinned(monkeypatch, spec, objective, limits, want):
+    """Search explores exactly the pinned trees: a propagator that misses a
+    wake-up, or a row compiled differently, shows up as a changed count."""
+    nodes = []
+
+    def counting_solve(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        nodes.append(result.nodes)
+        return result
+
+    monkeypatch.setattr("tqaplan.search.solve", counting_solve)
+    # a node budget far above the pinned counts makes a blown-up tree fail fast
+    limits = dataclasses.replace(limits, node_budget=10_000)
+    outcome = find_plan(gen_cushing(GadgetSpec(*spec)), objective, limits)
+    value = outcome.plan.objective if outcome.found else None
+    assert (outcome.status, outcome.n_found, value, nodes) == want
 
 
 def test_objective_values_descaled():
