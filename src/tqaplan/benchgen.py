@@ -58,9 +58,9 @@ class GadgetSpec:
                 raise ValueError("Type II/III need a stack height in [2, 8]")
 
 
-def level_durations(depth_below: int, base=BASE_DURATIONS) -> tuple[int, int, int]:
+def level_durations(depth_below: int) -> tuple[int, int, int]:
     """Durations for a gadget with `depth_below` nested levels inside it."""
-    a1, a2, a3 = base
+    a1, a2, a3 = BASE_DURATIONS
     step = depth_below * STACK_STEP
     return (a1 + step, a2 + step, a3 + step)
 
@@ -106,7 +106,7 @@ def _gadget(tag: str, durations: tuple[int, int, int]) -> tuple[list[Fluent], li
     return fluents, skills
 
 
-def gen_cushing(spec: GadgetSpec, base=BASE_DURATIONS) -> Domain:
+def gen_cushing(spec: GadgetSpec) -> Domain:
     """Generate the benchmark domain for the given spec; deterministic."""
     fluents: list[Fluent] = []
     skills: list[Skill] = []
@@ -115,7 +115,7 @@ def gen_cushing(spec: GadgetSpec, base=BASE_DURATIONS) -> Domain:
     if spec.bench_type == "I":
         for i in range(1, spec.copies + 1):
             tag = f"g{i}"
-            fl, sk = _gadget(tag, level_durations(0, base))
+            fl, sk = _gadget(tag, level_durations(0))
             fluents += fl
             skills += sk
             goal.add(f"goal_{tag}")
@@ -127,7 +127,7 @@ def gen_cushing(spec: GadgetSpec, base=BASE_DURATIONS) -> Domain:
         for stack in range(1, spec.copies + 1):
             for level in range(1, height + 1):
                 tag = f"s{stack}l{level}"
-                fl, sk = _gadget(tag, level_durations(height - level, base))
+                fl, sk = _gadget(tag, level_durations(height - level))
                 fluents += fl
                 skills += sk
                 goal.add(f"goal_{tag}")

@@ -112,6 +112,7 @@ def _run_record(instance: str, outcome: FindOutcome) -> dict:
         "verdict": outcome.status,
         "minimal_n_guaranteed": outcome.minimal_n_guaranteed,
         "last_n": outcome.last_n,
+        "limit_reason": outcome.limit_reason,
     }
 
 
@@ -141,7 +142,7 @@ def cmd_solve(args) -> int:
             probed = f"up to {outcome.last_n} stages"
         print(f"no plan {probed} ({reason})", file=sys.stderr)
         return 1
-    print("resource limit reached", file=sys.stderr)
+    print(f"resource limit reached: {outcome.limit_reason}", file=sys.stderr)
     return 2
 
 

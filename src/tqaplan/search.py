@@ -164,6 +164,7 @@ class FindOutcome:
     minimal_n_guaranteed: bool = True
     model_stats: tuple[int, int] = (0, 0)  # (bools, ints) of the last probed model
     last_n: Optional[int] = None  # the last stage count probed
+    limit_reason: Optional[str] = None  # "node budget" or "time budget", for a limit
 
     @property
     def found(self) -> bool:
@@ -202,7 +203,8 @@ def find_plan(
         raise ValueError("max_n must be at least 1")
     if limits.horizon is not None and limits.horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if limits.time_budget <= 0 or limits.node_budget <= 0:
+    # written so that a NaN budget fails too
+    if not (limits.time_budget > 0 and limits.node_budget > 0):
         raise ValueError("budgets must be positive")
     started = time.monotonic()
     total_nodes = 0
@@ -211,7 +213,7 @@ def find_plan(
     model = None
     last_n = None
 
-    def outcome(status: str, **found) -> FindOutcome:
+    def outcome(status: str, **fields) -> FindOutcome:
         return FindOutcome(
             status,
             nodes=total_nodes,
@@ -219,7 +221,7 @@ def find_plan(
             minimal_n_guaranteed=not geometric,
             model_stats=(model.n_bools, model.n_ints),
             last_n=last_n,
-            **found,
+            **fields,
         )
 
     for n in _n_schedule(limits.max_n, geometric):
@@ -231,7 +233,7 @@ def find_plan(
         engine.load(model, n_stable, order)
         remaining = limits.time_budget - (time.monotonic() - started)
         if remaining <= 0:
-            return outcome(RESOURCE_LIMIT)
+            return outcome(RESOURCE_LIMIT, limit_reason="time budget")
         result = solve(
             model,
             SolverConfig(time_budget=remaining, node_budget=limits.node_budget),
@@ -239,7 +241,7 @@ def find_plan(
         )
         total_nodes += result.nodes
         if result.status == "limit":
-            return outcome(RESOURCE_LIMIT)
+            return outcome(RESOURCE_LIMIT, limit_reason=result.reason)
         if result.is_sat:
             values = result.assignment
             plan, diagram = decode(

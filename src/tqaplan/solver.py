@@ -4,12 +4,18 @@ optimization, plus an exhaustive enumeration oracle for small models.
 
 The engine compiles each row of the model, as written, into a flat tuple
 over one variable space in which a variable gets its place when the engine
-first meets it (for a single model: the Booleans, then the integers).  Rows
-compile to two kinds: a reified conjunction, and a guarded row whose body,
-a clause or a linear row, must hold when every guard atom does.  A clause
-or linear row is a guarded row with an empty guard, and an exactly-one row
-compiles as the linear equality it is.  A model that grows keeps its
-compiled rows: only new rows and a per-model tail are compiled.
+first meets it (for a single model: the Booleans, then the integers).
+Every atom becomes bound literals of one form, ``x >= k`` or ``x <= k``:
+``x == k`` is the pair of both, a Boolean literal is ``b >= 1`` or
+``b <= 0``, and negation is exact (not ``x >= k`` is ``x <= k - 1``).  Rows
+compile to two kinds.  Clause rows hold clauses over bound literals: a
+clause; a guarded clause, which is the clause of its negated guard literals
+and its body; and a reified conjunction ``lit <-> a1 and ... and an``,
+which is the clause ``(not a1 or ... or not an or lit)`` plus the binary
+clauses ``(not lit or ai)``.  Linear rows carry a guard, which is empty for
+a plain linear row, and an exactly-one row compiles as the linear equality
+it is.  A model that grows keeps its compiled rows: only new rows and a
+per-model tail are compiled.
 
 Branching is static and reads no variable names: first the Booleans, those
 watched by the most rows first (ties in id order), then the integers in
@@ -70,7 +76,8 @@ class SolverConfig:
     node_budget: int = 100_000_000
 
     def __post_init__(self) -> None:
-        if self.time_budget <= 0 or self.node_budget <= 0:
+        # written so that a NaN budget fails too
+        if not (self.time_budget > 0 and self.node_budget > 0):
             raise ValueError("budgets must be positive")
 
 
@@ -85,7 +92,7 @@ class SolveResult:
     status: str
     assignment: Optional[Assignment] = None
     objective: Optional[int] = None
-    reason: str = ""
+    reason: str = ""  # the budget that ran out, for a limit
     nodes: int = 0
 
     @property
@@ -153,13 +160,16 @@ def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
 
 # -- propagation engine -------------------------------------------------------
 
-# compiled constraint tags: a guarded row (a clause or linear row is one
-# with an empty guard) and a reified conjunction
-_IMP, _IFF = range(2)
-# atom ops (compiled)
-_OP_LE, _OP_GE, _OP_EQ = 0, 1, 2
+# compiled row tags: clauses over bound literals (a clause, a guarded clause,
+# or the clauses of a reified conjunction) and a guarded linear row (a
+# linear row is one with an empty guard)
+_CL, _LIN = range(2)
 
-_OP_CODE = {LE: _OP_LE, GE: _OP_GE, EQ: _OP_EQ}
+
+def _negate(lit: tuple[int, bool, int]) -> tuple[int, bool, int]:
+    """not (x >= k) is x <= k - 1, and not (x <= k) is x >= k + 1."""
+    uid, ge, k = lit
+    return (uid, False, k - 1) if ge else (uid, True, k + 1)
 
 
 class Engine:
@@ -168,7 +178,8 @@ class Engine:
     Each variable gets a uid when the engine first meets it, so compiled
     rows stay valid while the model grows.  :meth:`load` takes on a larger
     model: its rows past the stable ones compiled so far are compiled once,
-    and the rest form a tail that replaces the previous one.
+    and the rest form a tail that replaces the previous one.  A bound
+    literal is ``(uid, ge, k)``: ``x >= k`` when ``ge``, else ``x <= k``.
     """
 
     def __init__(self, model: Optional[CspModel] = None):
@@ -242,28 +253,21 @@ class Engine:
 
     # -- compilation --------------------------------------------------------
 
-    def _lits(self, lits) -> tuple[tuple[int, int], ...]:
-        bool_uid = self.bool_uid
-        return tuple((bool_uid[l.var], 1 if l.val else 0) for l in lits)
-
-    def _terms(self, terms) -> tuple[tuple[int, int], ...]:
+    def _literals(self, atoms) -> list[tuple[int, bool, int]]:
+        """The bound literals whose conjunction is that of ``atoms``."""
         bool_uid, int_uid = self.bool_uid, self.int_uid
-        return tuple(
-            (t.coef, bool_uid[t.var] if t.space == BOOL else int_uid[t.var]) for t in terms
-        )
-
-    def _atom(self, atom) -> tuple[int, int, int]:
-        if isinstance(atom, Lit):
-            return (self.bool_uid[atom.var], _OP_EQ, 1 if atom.val else 0)
-        return (self.int_uid[atom.var], _OP_CODE[atom.op], atom.k)
-
-    def _body(self, body):
-        if isinstance(body, Clause):
-            return ("c", self._lits(body.lits))
-        terms = self._terms(body.terms)
-        if body.op == LE:
-            return ("l", 0, terms, None, body.const)
-        return ("l", 1, terms, tuple((-c, u) for c, u in terms), body.const)
+        out = []
+        for a in atoms:
+            if type(a) is Lit:
+                out.append((bool_uid[a.var], True, 1) if a.val else (bool_uid[a.var], False, 0))
+            elif a.op == LE:
+                out.append((int_uid[a.var], False, a.k))
+            elif a.op == GE:
+                out.append((int_uid[a.var], True, a.k))
+            else:
+                uid = int_uid[a.var]
+                out += ((uid, True, a.k), (uid, False, a.k))
+        return out
 
     def _register(self, compiled, uids) -> None:
         idx = len(self.cons)
@@ -279,22 +283,35 @@ class Engine:
 
     def _compile(self, con) -> None:
         if isinstance(con, IffConj):
-            lit = self._lits((con.lit,))[0]
-            atoms = tuple(self._atom(a) for a in con.atoms)
-            self._register((_IFF, lit, atoms), [lit[0]] + [a[0] for a in atoms])
+            # lit <-> a1 and ... and an: the clause (not a1 or ... or lit)
+            # and the binary clauses (not lit or ai)
+            (lit,) = self._literals((con.lit,))
+            atoms = self._literals(con.atoms)
+            clauses = [(*map(_negate, atoms), lit)]
+            clauses += [(_negate(lit), a) for a in atoms]
+            self._register((_CL, tuple(clauses)), [u for u, _, _ in clauses[0]])
             return
         if isinstance(con, ExactlyOne):
             # one true literal: the sum of x over positive literals and of
             # 1 - x over negative ones is 1
             terms = tuple(Term(1 if l.val else -1, BOOL, l.var) for l in con.lits)
             con = Lin(terms, EQ, 1 - sum(not l.val for l in con.lits))
+        # (g1 and ... and gn) -> body is (not g1 or ... or not gn or body)
+        guard: tuple = ()
         if isinstance(con, Implies):
-            guard, body = tuple(self._atom(a) for a in con.guard), self._body(con.body)
-        else:  # a clause or linear row: the body of an empty guard
-            guard, body = (), self._body(con)
-        uids = [a[0] for a in guard]
-        uids += [u for u, _ in body[1]] if body[0] == "c" else [u for _, u in body[2]]
-        self._register((_IMP, guard, body), uids)
+            guard, con = tuple(map(_negate, self._literals(con.guard))), con.body
+        if isinstance(con, Clause):
+            clause = guard + tuple(self._literals(con.lits))
+            self._register((_CL, (clause,)), [u for u, _, _ in clause])
+            return
+        bool_uid, int_uid = self.bool_uid, self.int_uid
+        terms = tuple(
+            (t.coef, bool_uid[t.var] if t.space == BOOL else int_uid[t.var]) for t in con.terms
+        )
+        eq = con.op == EQ
+        neg = tuple((-c, u) for c, u in terms) if eq else None
+        uids = [u for u, _, _ in guard] + [u for _, u in terms]
+        self._register((_LIN, guard, eq, terms, neg, con.const), uids)
 
     # -- domain updates -------------------------------------------------------
 
@@ -326,75 +343,38 @@ class Engine:
                 queued[idx] = True
                 queue.append(idx)
 
-    # -- atom helpers (status: 1 true, 0 false, -1 unknown) -------------------
-
-    def _status(self, atom) -> int:
-        uid, op, k = atom
-        lo, hi = self.lo[uid], self.hi[uid]
-        if op == _OP_LE:
-            if hi <= k:
-                return 1
-            if lo > k:
-                return 0
-        elif op == _OP_GE:
-            if lo >= k:
-                return 1
-            if hi < k:
-                return 0
+    def _force(self, lit) -> None:
+        uid, ge, k = lit
+        if ge:
+            self._set_lo(uid, k)
         else:
-            if lo == hi == k:
-                return 1
-            if k < lo or k > hi:
-                return 0
-        return -1
-
-    def _force(self, atom, value: bool) -> None:
-        uid, op, k = atom
-        if value:
-            if op == _OP_LE:
-                self._set_hi(uid, k)
-            elif op == _OP_GE:
-                self._set_lo(uid, k)
-            else:
-                self._set_lo(uid, k)
-                if not self.conflict:
-                    self._set_hi(uid, k)
-        else:
-            if op == _OP_LE:
-                self._set_lo(uid, k + 1)
-            elif op == _OP_GE:
-                self._set_hi(uid, k - 1)
-            else:
-                if self.lo[uid] == k:
-                    self._set_lo(uid, k + 1)
-                elif self.hi[uid] == k:
-                    self._set_hi(uid, k - 1)
+            self._set_hi(uid, k)
 
     # -- constraint propagation -------------------------------------------------
 
     def _prop_clause(self, lits) -> bool:
         """Returns True when the clause is satisfied (may sleep)."""
         lo, hi = self.lo, self.hi
-        unknown = -1
-        count = 0
-        for uid, want in lits:
-            l = lo[uid]
-            if l == hi[uid]:
-                if l == want:
+        unknown = None
+        for lit in lits:
+            uid, ge, k = lit
+            if ge:
+                if lo[uid] >= k:
                     return True
+                if hi[uid] < k:
+                    continue
             else:
-                count += 1
-                if count > 1:
-                    return False
-                unknown = uid
-                unknown_want = want
-        if count == 0:
+                if hi[uid] <= k:
+                    return True
+                if lo[uid] > k:
+                    continue
+            if unknown is not None:
+                return False
+            unknown = lit
+        if unknown is None:
             self.conflict = True
             return False
-        if unknown_want:
-            self._set_lo(unknown, 1)
-        else:
-            self._set_hi(unknown, 0)
+        self._force(unknown)
         return True
 
     def _prop_lin_le(self, terms, const) -> bool:
@@ -429,19 +409,8 @@ class Engine:
                         return False
         return False
 
-    def _body_status(self, body) -> int:
-        if body[0] == "c":
-            lo, hi = self.lo, self.hi
-            saw_unknown = False
-            for uid, want in body[1]:
-                l = lo[uid]
-                if l == hi[uid]:
-                    if l == want:
-                        return 1
-                else:
-                    saw_unknown = True
-            return -1 if saw_unknown else 0
-        _, eq, terms, _neg, const = body
+    def _lin_status(self, eq, terms, const) -> int:
+        """1 when the linear body is entailed, 0 when refuted, else -1."""
         lo, hi = self.lo, self.hi
         if len(terms) == 2:
             (c0, u0), (c1, u1) = terms
@@ -476,75 +445,32 @@ class Engine:
                 return 0
         return -1
 
-    def _prop_guard(self, guard, body) -> Optional[bool]:
-        """None when every guard atom holds, so the body must hold; else
-        True once the guard is refuted (the row sleeps until the next
-        backtrack) and False while it is open."""
+    def _prop_guard(self, guard, eq, terms, const) -> Optional[bool]:
+        """``guard`` holds the negated guard literals.  None when all of them
+        are false, so the body must hold; else True once one holds (the
+        row sleeps until the next backtrack) and False while the guard is
+        open.  A refuted body with one open literal forces it."""
         lo, hi = self.lo, self.hi
         unknown = None
-        unknown_count = 0
-        for atom in guard:
-            uid, op, k = atom
-            l, h = lo[uid], hi[uid]
-            if op == _OP_LE:
-                if l > k:
+        count = 0
+        for lit in guard:
+            uid, ge, k = lit
+            if ge:
+                if lo[uid] >= k:
                     return True
-                if h > k:
-                    unknown_count += 1
-                    unknown = atom
-            elif op == _OP_GE:
-                if h < k:
-                    return True
-                if l < k:
-                    unknown_count += 1
-                    unknown = atom
+                if hi[uid] < k:
+                    continue
             else:
-                if k < l or k > h:
+                if hi[uid] <= k:
                     return True
-                if l != h:
-                    unknown_count += 1
-                    unknown = atom
-        if unknown_count == 0:
+                if lo[uid] > k:
+                    continue
+            count += 1
+            unknown = lit
+        if count == 0:
             return None
-        if unknown_count == 1 and self._body_status(body) == 0:
-            self._force(unknown, False)
-        return False
-
-    def _prop_iff(self, lit, atoms) -> bool:
-        uid, want = lit
-        lo, hi = self.lo, self.hi
-        st = -1
-        if lo[uid] == hi[uid]:
-            st = 1 if lo[uid] == want else 0
-        if st == 1:
-            for atom in atoms:
-                self._force(atom, True)
-                if self.conflict:
-                    return False
-            return True
-        falses = 0
-        unknown = None
-        unknown_count = 0
-        for atom in atoms:
-            a_st = self._status(atom)
-            if a_st == 0:
-                falses += 1
-            elif a_st == -1:
-                unknown_count += 1
-                unknown = atom
-        if st == 0:
-            if falses == 0:
-                if unknown_count == 0:
-                    self.conflict = True
-                elif unknown_count == 1:
-                    self._force(unknown, False)
-            return falses > 0
-        if falses > 0:
-            self._force((uid, _OP_EQ, 1 - want), True)
-            return True
-        if unknown_count == 0:
-            self._force((uid, _OP_EQ, want), True)
-            return True
+        if count == 1 and self._lin_status(eq, terms, const) == 0:
+            self._force(unknown)
         return False
 
     def propagate(self) -> bool:
@@ -557,21 +483,23 @@ class Engine:
             queued[idx] = False
             if sleep[idx] == epoch:
                 continue
-            tag, guard, body = cons[idx]  # _IFF: the literal and its atoms
-            if tag == _IFF:
-                done = self._prop_iff(guard, body)
+            row = cons[idx]
+            if row[0] == _CL:
+                done = True
+                for lits in row[1]:
+                    if not self._prop_clause(lits):
+                        if self.conflict:
+                            break
+                        done = False
             else:
                 # a row whose guard holds (or is empty) propagates its body;
                 # a body entailed under current bounds lets the row sleep
-                done = self._prop_guard(guard, body) if guard else None
+                _, guard, eq, terms, neg, const = row
+                done = self._prop_guard(guard, eq, terms, const) if guard else None
                 if done is None:
-                    if body[0] == "c":
-                        done = self._prop_clause(body[1])
-                    else:
-                        _, eq, terms, neg, const = body
-                        done = self._prop_lin_le(terms, const)
-                        if eq and not self.conflict:
-                            done = self._prop_lin_le(neg, -const) and done
+                    done = self._prop_lin_le(terms, const)
+                    if eq and not self.conflict:
+                        done = self._prop_lin_le(neg, -const) and done
             if done and not self.conflict:
                 sleep[idx] = epoch
         if self.conflict:
@@ -608,6 +536,9 @@ class Engine:
         return ((lo, mid), (mid + 1, hi))
 
     def search(self, deadline: float, node_budget: int):
+        """``(status, x)``: x is the assignment when SAT, the budget that
+        ran out (``"node budget"`` or ``"time budget"``) at a limit, and
+        None when UNSAT."""
         if not self.propagate():
             return UNSAT, None
         if self.order is None:
@@ -630,9 +561,9 @@ class Engine:
             self._undo_to(mark)
             self.nodes += 1
             if self.nodes > node_budget:
-                return LIMIT, None
+                return LIMIT, "node budget"
             if not self.nodes & 0x3FF and time.monotonic() > deadline:
-                return LIMIT, None
+                return LIMIT, "time budget"
             w_lo, w_hi = windows[child]
             self._set_lo(uid, w_lo)
             if not self.conflict:
@@ -676,7 +607,7 @@ def solve(
     deadline = time.monotonic() + cfg.time_budget
     status, assignment = engine.search(deadline, cfg.node_budget)
     if status == LIMIT:
-        return SolveResult(LIMIT, reason="budget exhausted", nodes=engine.nodes)
+        return SolveResult(LIMIT, reason=assignment, nodes=engine.nodes)
     if status == UNSAT:
         return SolveResult(UNSAT, nodes=engine.nodes)
     _assert_model_holds(m, assignment)
@@ -692,10 +623,7 @@ def solve(
         if status == UNSAT:
             return SolveResult(SAT, best, best_val, nodes=engine.nodes)
         if status == LIMIT:
-            return SolveResult(
-                LIMIT, best, best_val, reason="budget exhausted; incumbent reported",
-                nodes=engine.nodes,
-            )
+            return SolveResult(LIMIT, best, best_val, reason=assignment, nodes=engine.nodes)
         _assert_model_holds(m, assignment)
         best = assignment
         best_val = objective_value(m, assignment)

@@ -174,7 +174,13 @@ def test_closed_stdout_exits_quietly(tmp_path, command, buffered):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--max-copies", "0"], ["--max-n", "0"], ["--time-budget", "0"], ["--horizon", "0"]],
+    [
+        ["--max-copies", "0"],
+        ["--max-n", "0"],
+        ["--time-budget", "0"],
+        ["--time-budget", "nan"],
+        ["--horizon", "0"],
+    ],
 )
 def test_bad_flag_values_are_input_errors(tmp_path, capsys, flags):
     domain = tmp_path / "d.json"
@@ -182,6 +188,22 @@ def test_bad_flag_values_are_input_errors(tmp_path, capsys, flags):
     assert run(["solve", domain, *flags]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_resource_limit_names_the_budget(tmp_path, capsys):
+    domain = tmp_path / "g.json"
+    assert run(["gen", "--type", "I", "--copies", "1", "--out", domain]) == 0
+    capsys.readouterr()
+    # the budget runs out while the first probe is built
+    assert run(["solve", domain, "--max-copies", "1", "--time-budget", "1e-9"]) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.out)
+    assert (record["verdict"], record["limit_reason"]) == ("limit", "time budget")
+    assert captured.err == "resource limit reached: time budget\n"
+    # an infinite budget is no limit
+    assert run(["solve", domain, "--max-copies", "1", "--time-budget", "inf"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["verdict"], record["limit_reason"]) == ("found", None)
 
 
 def test_bench_bad_flag_value_is_an_input_error(tmp_path, capsys):

@@ -90,6 +90,22 @@ def test_limit_and_exhaustion_report_the_last_probed_model():
     assert "last_n" not in CSV_COLUMNS
 
 
+def test_a_limit_names_the_budget_that_ran_out():
+    domain = gen_cushing(GadgetSpec("II", 1, 2))
+    limited = find_plan(domain, limits=SearchLimits(copy_cap=2, horizon=22, node_budget=1))
+    assert (limited.status, limited.limit_reason) == ("limit", "node budget")
+    assert _run_record("x", limited)["limit_reason"] == "node budget"
+    found = find_plan(TINY, limits=SearchLimits(max_n=3))
+    assert found.found and _run_record("x", found)["limit_reason"] is None
+    assert "limit_reason" not in CSV_COLUMNS
+
+
+@pytest.mark.parametrize("budgets", [{"time_budget": float("nan")}, {"node_budget": 0}])
+def test_budgets_that_are_not_positive_are_rejected(budgets):
+    with pytest.raises(ValueError):
+        find_plan(TINY, limits=SearchLimits(max_n=3, **budgets))
+
+
 def _reference_find_plan(d, objective, limits, geometric):
     """find_plan as a loop that builds every probe afresh: instantiate,
     encode and solve at each stage count.  Returns what find_plan reports."""

@@ -4,6 +4,7 @@ agreement with the exhaustive enumerator."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from tqaplan.benchgen import GadgetSpec, gen_cushing
 from tqaplan.cpmodel import (
     BOOL,
     EQ,
+    GE,
     INT,
     LE,
     Clause,
@@ -87,6 +89,27 @@ def test_node_budget_reports_limit():
     assert res.status in ("limit", "unsat")  # tiny budgets may still refute at the root
     res_big = solve(m)
     assert res_big.status == "unsat"
+
+
+def test_a_limit_names_the_budget_that_ran_out():
+    # three pigeons, two holes: no propagation refutes it at the root
+    m = CspModel()
+    x = [[m.new_bool(f"p{i}h{j}") for j in range(2)] for i in range(3)]
+    for row in x:
+        m.add(Clause(tuple(Lit(b) for b in row)))
+    for j in range(2):
+        for a in range(3):
+            for b in range(a + 1, 3):
+                m.add(Clause((Lit(x[a][j], False), Lit(x[b][j], False))))
+    res = solve(m, SolverConfig(node_budget=1))
+    assert (res.status, res.reason) == ("limit", "node budget")
+    assert solve(m, SolverConfig(time_budget=float("inf"))).is_unsat
+
+
+@pytest.mark.parametrize("budgets", [{"time_budget": float("nan")}, {"time_budget": 0}])
+def test_budgets_that_are_not_positive_are_rejected(budgets):
+    with pytest.raises(ValueError):
+        SolverConfig(**budgets)
 
 
 def test_malformed_model_rejected_before_search():
@@ -198,6 +221,49 @@ def test_agreement_on_random_models_with_channel_rows():
         if rng.random() < 0.5:
             m.minimize((*(m.objective or ()), Term(rng.choice((-1, 1)), INT, idx)))
         _agrees_with_brute_force(m)
+
+
+def _with_guarded_clauses(m: CspModel, rng: random.Random) -> CspModel:
+    """Append rows (guard) -> clause whose guards mix Boolean literals with
+    <=, >= and == integer atoms, some of them outside the integer's domain."""
+    for _ in range(rng.randrange(1, 4)):
+        guard = []
+        for _ in range(rng.randrange(1, 4)):
+            if rng.random() < 0.4:
+                guard.append(Lit(rng.randrange(m.n_bools), rng.random() < 0.5))
+            else:
+                var = rng.randrange(m.n_ints)
+                _, lo, hi = m.int_decls[var]
+                guard.append(Cmp(var, rng.choice((LE, GE, EQ)), rng.randrange(lo - 1, hi + 2)))
+        body = tuple(
+            Lit(rng.randrange(m.n_bools), rng.random() < 0.5) for _ in range(rng.randrange(0, 3))
+        )
+        m.add(Implies(tuple(guard), Clause(body)))
+    return m
+
+
+def test_agreement_on_random_models_with_guarded_clauses():
+    rng = random.Random(7)
+    for _ in range(200):
+        _agrees_with_brute_force(_with_guarded_clauses(random_small_model(rng), rng))
+
+
+# sha256 over (status, nodes, assignment, objective) of the solves in
+# test_search_is_pinned_on_random_models, computed on the engine that read
+# integer atoms as <=, >= and == before every atom became a bound literal
+RANDOM_SEARCH_DIGEST = "31fe81e61775fa714c7ef5a9fb52ddae3dac6a736e6f2707f7da21a813ca5a95"
+
+
+def test_search_is_pinned_on_random_models():
+    """Same fixpoints, same branching: node counts and answers are exact."""
+    digest = hashlib.sha256()
+    plain, guarded = random.Random(11), random.Random(12)
+    models = [random_small_model(plain) for _ in range(400)]
+    models += [_with_guarded_clauses(random_small_model(guarded), guarded) for _ in range(400)]
+    for m in models:
+        res = solve(m)
+        digest.update(repr((res.status, res.nodes, res.assignment, res.objective)).encode())
+    assert digest.hexdigest() == RANDOM_SEARCH_DIGEST
 
 
 @pytest.mark.parametrize("n, objective", [(9, "none"), (5, "makespan"), (9, "makespan")])
