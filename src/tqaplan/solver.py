@@ -17,6 +17,15 @@ a plain linear row, and an exactly-one row compiles as the linear equality
 it is.  A model that grows keeps its compiled rows: only new rows and a
 per-model tail are compiled.
 
+Propagation runs rows from two queues.  A bound change wakes the rows
+that watch its variable into a FIFO queue, which runs oldest first; the
+root sweep (every row, in the order ``load`` was given) is consumed only
+while no woken row waits, so a bound found at the root reaches its
+neighbours before the sweep goes on.  A row waiting in either queue is not
+queued again.  A row found entailed sleeps on the trail: nothing wakes it
+until search undoes the trail below the point where it fell asleep.  The
+fixpoint, and so every node count, does not depend on this order.
+
 Branching is static and reads no variable names: first the Booleans, those
 watched by the most rows first (ties in id order), then the integers in
 declaration order, those in the objective last.  Every branch tries the
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -180,6 +190,12 @@ class Engine:
     model: its rows past the stable ones compiled so far are compiled once,
     and the rest form a tail that replaces the previous one.  A bound
     literal is ``(uid, ge, k)``: ``x >= k`` when ``ge``, else ``x <= k``.
+
+    ``queue`` holds woken rows, run first and oldest first; ``pending``
+    holds the root sweep, run from its end.  ``queued[idx]`` is set while
+    row ``idx`` waits in either, or sleeps: ``sleepers`` holds
+    ``(trail length, row)`` for each entailed row, released by
+    :meth:`_undo_to` once the trail is cut below that length.
     """
 
     def __init__(self, model: Optional[CspModel] = None):
@@ -192,13 +208,12 @@ class Engine:
         self.n_stable = 0
         self.tail_uids: list[int] = []  # uids watched by rows past the stable ones
         self.trail: list[tuple[int, bool, int]] = []
-        self.queued: list[bool] = []
-        self.queue: list[int] = []
+        self.queued: list[bool] = []  # waiting in a queue, or asleep
+        self.queue: deque[int] = deque()  # woken rows, oldest first
+        self.pending: list[int] = []  # the root sweep, from its end
+        self.sleepers: list[tuple[int, int]] = []  # (trail length, row)
         self.conflict = False
         self.nodes = 0
-        # constraints observed satisfied sleep until the next backtrack
-        self.epoch = 0
-        self.sleep: list[int] = []
         self.order: Optional[list[int]] = None
         if model is not None:
             self.load(model, len(model.constraints))
@@ -218,7 +233,7 @@ class Engine:
             while watch and watch[-1] >= cut:
                 watch.pop()
         self.tail_uids = []
-        del self.cons[cut:], self.sleep[cut:]
+        del self.cons[cut:]
         model.check_well_formed(cut)
         for uids, count in ((self.bool_uid, model.n_bools), (self.int_uid, model.n_ints)):
             for _ in range(len(uids), count):
@@ -274,7 +289,6 @@ class Engine:
         self.cons.append(compiled)
         self.queued.append(True)
         self.queue.append(idx)
-        self.sleep.append(-1)
         uids = set(uids)
         for uid in uids:
             self.watchers[uid].append(idx)
@@ -353,7 +367,8 @@ class Engine:
     # -- constraint propagation -------------------------------------------------
 
     def _prop_clause(self, lits) -> bool:
-        """Returns True when the clause is satisfied (may sleep)."""
+        """True when the clause is satisfied, so the row may sleep on the
+        trail."""
         lo, hi = self.lo, self.hi
         unknown = None
         for lit in lits:
@@ -378,7 +393,8 @@ class Engine:
         return True
 
     def _prop_lin_le(self, terms, const) -> bool:
-        """Returns True when entailed under current bounds (may sleep)."""
+        """True when entailed under current bounds, so the row may sleep on
+        the trail."""
         lo, hi = self.lo, self.hi
         mn = mx = 0
         for coef, uid in terms:
@@ -448,8 +464,9 @@ class Engine:
     def _prop_guard(self, guard, eq, terms, const) -> Optional[bool]:
         """``guard`` holds the negated guard literals.  None when all of them
         are false, so the body must hold; else True once one holds (the
-        row sleeps until the next backtrack) and False while the guard is
-        open.  A refuted body with one open literal forces it."""
+        row sleeps on the trail until search undoes that literal) and False
+        while the guard is open.  A refuted body with one open literal
+        forces it."""
         lo, hi = self.lo, self.hi
         unknown = None
         count = 0
@@ -474,15 +491,16 @@ class Engine:
         return False
 
     def propagate(self) -> bool:
-        queue, queued, cons, sleep = self.queue, self.queued, self.cons, self.sleep
-        epoch = self.epoch
-        while queue:
-            if self.conflict:
+        queue, pending, queued, cons = self.queue, self.pending, self.queued, self.cons
+        sleepers, trail = self.sleepers, self.trail
+        while not self.conflict:
+            if queue:
+                idx = queue.popleft()
+            elif pending:
+                idx = pending.pop()
+            else:
                 break
-            idx = queue.pop()
             queued[idx] = False
-            if sleep[idx] == epoch:
-                continue
             row = cons[idx]
             if row[0] == _CL:
                 done = True
@@ -501,18 +519,20 @@ class Engine:
                     if eq and not self.conflict:
                         done = self._prop_lin_le(neg, -const) and done
             if done and not self.conflict:
-                sleep[idx] = epoch
+                # marked queued, an entailed row sleeps until _undo_to
+                queued[idx] = True
+                sleepers.append((len(trail), idx))
         if self.conflict:
-            for idx in queue:
+            for idx in itertools.chain(queue, pending):
                 queued[idx] = False
             queue.clear()
+            pending.clear()
             return False
         return True
 
     # -- search ------------------------------------------------------------------
 
     def _undo_to(self, mark: int) -> None:
-        self.epoch += 1
         trail, lo, hi = self.trail, self.lo, self.hi
         while len(trail) > mark:
             uid, changed_lo, old = trail.pop()
@@ -520,6 +540,9 @@ class Engine:
                 lo[uid] = old
             else:
                 hi[uid] = old
+        sleepers, queued = self.sleepers, self.queued
+        while sleepers and sleepers[-1][0] > mark:
+            queued[sleepers.pop()[1]] = False
         self.conflict = False
 
     def _next_var(self, start: int) -> int:
@@ -562,7 +585,7 @@ class Engine:
             self.nodes += 1
             if self.nodes > node_budget:
                 return LIMIT, "node budget"
-            if not self.nodes & 0x3FF and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 return LIMIT, "time budget"
             w_lo, w_hi = windows[child]
             self._set_lo(uid, w_lo)
@@ -583,9 +606,12 @@ class Engine:
         )
 
     def reset(self) -> None:
-        """Back to the root: every row queued, bound rows after the rest."""
+        """Back to the root: every row awake and in the root sweep, bound
+        rows first."""
         self._undo_to(0)
-        self.queue = self.root_queue + list(range(len(self.root_queue), len(self.cons)))
+        self.sleepers.clear()
+        self.queue.clear()
+        self.pending = self.root_queue + list(range(len(self.root_queue), len(self.cons)))
         self.queued = [True] * len(self.cons)
 
     def add_bound(self, terms: tuple[Term, ...], const: int) -> None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,15 @@ def test_a_limit_names_the_budget_that_ran_out():
     found = find_plan(TINY, limits=SearchLimits(max_n=3))
     assert found.found and _run_record("x", found)["limit_reason"] is None
     assert "limit_reason" not in CSV_COLUMNS
+
+
+def test_a_probe_stops_at_the_time_budget():
+    # default-cap II m=1 h=3 gets no verdict for minutes, so the budget ends it
+    domain = gen_cushing(GadgetSpec("II", 1, 3))
+    start = time.monotonic()
+    outcome = find_plan(domain, limits=SearchLimits(time_budget=0.5))
+    assert time.monotonic() - start < 1.0
+    assert (outcome.status, outcome.limit_reason) == ("limit", "time budget")
 
 
 @pytest.mark.parametrize("budgets", [{"time_budget": float("nan")}, {"node_budget": 0}])

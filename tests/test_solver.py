@@ -26,6 +26,7 @@ from tqaplan.cpmodel import (
     Term,
 )
 from tqaplan.solver import (
+    Engine,
     GuardExceededError,
     SolverConfig,
     brute_force_solve,
@@ -246,6 +247,52 @@ def test_agreement_on_random_models_with_guarded_clauses():
     rng = random.Random(7)
     for _ in range(200):
         _agrees_with_brute_force(_with_guarded_clauses(random_small_model(rng), rng))
+
+
+def _schedule_models(seed: int) -> list[CspModel]:
+    rng = random.Random(seed)
+    models = [random_small_model(rng) for _ in range(100)]
+    models += [_with_guarded_clauses(random_small_model(rng), rng) for _ in range(100)]
+    return models
+
+
+def _root_fixpoint(engine: Engine):
+    """Per-uid bounds after propagation, or None on a conflict."""
+    return (engine.lo[:], engine.hi[:]) if engine.propagate() else None
+
+
+def test_the_root_fixpoint_does_not_depend_on_the_queue_order():
+    rng = random.Random(13)
+    for m in _schedule_models(14):
+        rows = list(range(len(m.constraints)))
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        fixpoints = []
+        for order in (rows, rows[::-1], shuffled):
+            engine = Engine()
+            engine.load(m, len(m.constraints), order)
+            fixpoints.append(_root_fixpoint(engine))
+        assert fixpoints[0] == fixpoints[1] == fixpoints[2]
+
+
+def test_reset_after_a_solve_wakes_every_row():
+    """Rows asleep on the trail when a search ends are all released: the
+    root fixpoint after reset is that of a fresh engine with the same rows."""
+    for m in _schedule_models(15):
+        engine, bounds = Engine(m), []
+        compile_bound = engine.add_bound
+
+        def add_bound(terms, const):
+            bounds.append((terms, const))
+            compile_bound(terms, const)
+
+        engine.add_bound = add_bound
+        solve(m, engine=engine)
+        engine.reset()
+        fresh = Engine(m)
+        for terms, const in bounds:
+            fresh.add_bound(terms, const)
+        assert _root_fixpoint(engine) == _root_fixpoint(fresh)
 
 
 # sha256 over (status, nodes, assignment, objective) of the solves in
