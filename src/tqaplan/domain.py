@@ -376,6 +376,16 @@ def validate_domain(d: Domain) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     roles = {f.name: f.role for f in d.fluents}
 
+    # names become parts of constraint-model variable names, which are
+    # whitespace-free
+    named = (("fluent", d.fluents), ("skill", d.skills), ("temporal action", d.temporal_actions))
+    for kind, items in named:
+        for item in items:
+            if any(map(str.isspace, item.name)):
+                out.append(
+                    Diagnostic("name-without-whitespace", f"{kind} {item.name!r} contains whitespace")
+                )
+
     for s in d.skills:
         if s.kind is SkillKind.DELAY:
             if s.duration is None or s.duration < 1:

@@ -7,7 +7,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .domain import Domain
 from .encoder import Encoder, cost_scale
@@ -171,9 +171,10 @@ class FindOutcome:
         return self.status == FOUND
 
 
-def _n_schedule(max_n: int, geometric: bool) -> list[int]:
+def _n_schedule(max_n: int, geometric: bool) -> Sequence[int]:
+    """The stage counts to probe, in order; a range is O(1) in ``max_n``."""
     if not geometric:
-        return list(range(1, max_n + 1))
+        return range(1, max_n + 1)
     out, n = [], 1
     while n <= max_n:
         out.append(n)

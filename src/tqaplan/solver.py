@@ -2,20 +2,21 @@
 consistency, guard/reification propagation, and branch-and-bound
 optimization, plus an exhaustive enumeration oracle for small models.
 
-The engine compiles each row of the model, as written, into a flat tuple
-over one variable space in which a variable gets its place when the engine
-first meets it (for a single model: the Booleans, then the integers).
-Every atom becomes bound literals of one form, ``x >= k`` or ``x <= k``:
-``x == k`` is the pair of both, a Boolean literal is ``b >= 1`` or
-``b <= 0``, and negation is exact (not ``x >= k`` is ``x <= k - 1``).  Rows
-compile to two kinds.  Clause rows hold clauses over bound literals: a
-clause; a guarded clause, which is the clause of its negated guard literals
-and its body; and a reified conjunction ``lit <-> a1 and ... and an``,
-which is the clause ``(not a1 or ... or not an or lit)`` plus the binary
-clauses ``(not lit or ai)``.  Linear rows carry a guard, which is empty for
-a plain linear row, and an exactly-one row compiles as the linear equality
-it is.  A model that grows keeps its compiled rows: only new rows and a
-per-model tail are compiled.
+The engine compiles each row of the model, as written, into a tuple of
+clauses over one variable space in which a variable gets its place when
+the engine first meets it (for a single model: the Booleans, then the
+integers).  Every atom becomes bound literals of one form, ``x >= k`` or
+``x <= k``: ``x == k`` is the pair of both, a Boolean literal is ``b >= 1``
+or ``b <= 0``, and negation is exact (not ``x >= k`` is ``x <= k - 1``).
+A clause is bound literals and a body, which is either nothing or a linear
+row that acts as the clause's last disjunct.  A clause row is one clause;
+a guarded row ``g1 and ... and gn -> body`` is the clause ``(not g1 or ...
+or not gn or body)``; a reified conjunction ``lit <-> a1 and ... and an``
+is the clause ``(not a1 or ... or not an or lit)`` plus the binary clauses
+``(not lit or ai)``, kept in one row; a linear row is a clause with no
+literals and the row as its body, and an exactly-one row is the linear
+equality it is.  One propagator runs every clause.  A model that grows
+keeps its compiled rows: only new rows and a per-model tail are compiled.
 
 Propagation runs rows from two queues.  A bound change wakes the rows
 that watch its variable into a FIFO queue, which runs oldest first; the
@@ -170,11 +171,6 @@ def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
 
 # -- propagation engine -------------------------------------------------------
 
-# compiled row tags: clauses over bound literals (a clause, a guarded clause,
-# or the clauses of a reified conjunction) and a guarded linear row (a
-# linear row is one with an empty guard)
-_CL, _LIN = range(2)
-
 
 def _negate(lit: tuple[int, bool, int]) -> tuple[int, bool, int]:
     """not (x >= k) is x <= k - 1, and not (x <= k) is x >= k + 1."""
@@ -190,6 +186,10 @@ class Engine:
     model: its rows past the stable ones compiled so far are compiled once,
     and the rest form a tail that replaces the previous one.  A bound
     literal is ``(uid, ge, k)``: ``x >= k`` when ``ge``, else ``x <= k``.
+    A row is a tuple of clauses ``(lits, body)``: the bound literals
+    ``lits``, or ``body`` when it is not None, a linear body
+    ``(eq, terms, neg, const)`` meaning ``sum(c * x) <= const`` (``=``
+    when ``eq``; ``neg`` holds the negated terms of an equality).
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
@@ -303,7 +303,7 @@ class Engine:
             atoms = self._literals(con.atoms)
             clauses = [(*map(_negate, atoms), lit)]
             clauses += [(_negate(lit), a) for a in atoms]
-            self._register((_CL, tuple(clauses)), [u for u, _, _ in clauses[0]])
+            self._register(tuple((c, None) for c in clauses), [u for u, _, _ in clauses[0]])
             return
         if isinstance(con, ExactlyOne):
             # one true literal: the sum of x over positive literals and of
@@ -316,7 +316,7 @@ class Engine:
             guard, con = tuple(map(_negate, self._literals(con.guard))), con.body
         if isinstance(con, Clause):
             clause = guard + tuple(self._literals(con.lits))
-            self._register((_CL, (clause,)), [u for u, _, _ in clause])
+            self._register(((clause, None),), [u for u, _, _ in clause])
             return
         bool_uid, int_uid = self.bool_uid, self.int_uid
         terms = tuple(
@@ -325,7 +325,7 @@ class Engine:
         eq = con.op == EQ
         neg = tuple((-c, u) for c, u in terms) if eq else None
         uids = [u for u, _, _ in guard] + [u for _, u in terms]
-        self._register((_LIN, guard, eq, terms, neg, con.const), uids)
+        self._register(((guard, (eq, terms, neg, con.const)),), uids)
 
     # -- domain updates -------------------------------------------------------
 
@@ -366,9 +366,10 @@ class Engine:
 
     # -- constraint propagation -------------------------------------------------
 
-    def _prop_clause(self, lits) -> bool:
-        """True when the clause is satisfied, so the row may sleep on the
-        trail."""
+    def _prop_clause(self, lits, body) -> bool:
+        """Propagate the clause ``lits or body``, where ``body`` is None or
+        a linear body ``(eq, terms, neg, const)``.  True when the clause
+        holds under current bounds, so the row may sleep on the trail."""
         lo, hi = self.lo, self.hi
         unknown = None
         for lit in lits:
@@ -386,11 +387,22 @@ class Engine:
             if unknown is not None:
                 return False
             unknown = lit
+        if body is None:
+            if unknown is None:
+                self.conflict = True
+                return False
+            self._force(unknown)
+            return True
+        eq, terms, neg, const = body
         if unknown is None:
-            self.conflict = True
-            return False
-        self._force(unknown)
-        return True
+            done = self._prop_lin_le(terms, const)
+            if eq and not self.conflict:
+                done = self._prop_lin_le(neg, -const) and done
+            return done
+        if self._lin_refuted(eq, terms, const):
+            self._force(unknown)
+            return True
+        return False
 
     def _prop_lin_le(self, terms, const) -> bool:
         """True when entailed under current bounds, so the row may sleep on
@@ -425,70 +437,18 @@ class Engine:
                         return False
         return False
 
-    def _lin_status(self, eq, terms, const) -> int:
-        """1 when the linear body is entailed, 0 when refuted, else -1."""
+    def _lin_refuted(self, eq, terms, const) -> bool:
+        """True when no assignment within current bounds meets the body."""
         lo, hi = self.lo, self.hi
-        if len(terms) == 2:
-            (c0, u0), (c1, u1) = terms
-            if c0 > 0:
-                mn, mx = c0 * lo[u0], c0 * hi[u0]
+        mn = mx = 0
+        for coef, uid in terms:
+            if coef > 0:
+                mn += coef * lo[uid]
+                mx += coef * hi[uid]
             else:
-                mn, mx = c0 * hi[u0], c0 * lo[u0]
-            if c1 > 0:
-                mn += c1 * lo[u1]
-                mx += c1 * hi[u1]
-            else:
-                mn += c1 * hi[u1]
-                mx += c1 * lo[u1]
-        else:
-            mn = mx = 0
-            for coef, uid in terms:
-                if coef > 0:
-                    mn += coef * lo[uid]
-                    mx += coef * hi[uid]
-                else:
-                    mn += coef * hi[uid]
-                    mx += coef * lo[uid]
-        if eq:
-            if mn == mx == const:
-                return 1
-            if mn > const or mx < const:
-                return 0
-        else:
-            if mx <= const:
-                return 1
-            if mn > const:
-                return 0
-        return -1
-
-    def _prop_guard(self, guard, eq, terms, const) -> Optional[bool]:
-        """``guard`` holds the negated guard literals.  None when all of them
-        are false, so the body must hold; else True once one holds (the
-        row sleeps on the trail until search undoes that literal) and False
-        while the guard is open.  A refuted body with one open literal
-        forces it."""
-        lo, hi = self.lo, self.hi
-        unknown = None
-        count = 0
-        for lit in guard:
-            uid, ge, k = lit
-            if ge:
-                if lo[uid] >= k:
-                    return True
-                if hi[uid] < k:
-                    continue
-            else:
-                if hi[uid] <= k:
-                    return True
-                if lo[uid] > k:
-                    continue
-            count += 1
-            unknown = lit
-        if count == 0:
-            return None
-        if count == 1 and self._lin_status(eq, terms, const) == 0:
-            self._force(unknown)
-        return False
+                mn += coef * hi[uid]
+                mx += coef * lo[uid]
+        return mn > const or (eq and mx < const)
 
     def propagate(self) -> bool:
         queue, pending, queued, cons = self.queue, self.pending, self.queued, self.cons
@@ -501,23 +461,12 @@ class Engine:
             else:
                 break
             queued[idx] = False
-            row = cons[idx]
-            if row[0] == _CL:
-                done = True
-                for lits in row[1]:
-                    if not self._prop_clause(lits):
-                        if self.conflict:
-                            break
-                        done = False
-            else:
-                # a row whose guard holds (or is empty) propagates its body;
-                # a body entailed under current bounds lets the row sleep
-                _, guard, eq, terms, neg, const = row
-                done = self._prop_guard(guard, eq, terms, const) if guard else None
-                if done is None:
-                    done = self._prop_lin_le(terms, const)
-                    if eq and not self.conflict:
-                        done = self._prop_lin_le(neg, -const) and done
+            done = True
+            for lits, body in cons[idx]:
+                if not self._prop_clause(lits, body):
+                    if self.conflict:
+                        break
+                    done = False
             if done and not self.conflict:
                 # marked queued, an entailed row sleeps until _undo_to
                 queued[idx] = True

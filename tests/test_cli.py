@@ -290,3 +290,29 @@ def test_encode_rejects_search_flags(tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+SPACED_NAMES = {
+    "fluent": '{"fluents": ["a b"], "skills": [{"name": "s", "kind": "delay", "duration": 2,'
+    ' "raises": ["a b"]}], "goal": ["a b"]}',
+    "skill": '{"fluents": ["g"], "skills": [{"name": "s t", "kind": "delay", "duration": 2,'
+    ' "raises": ["g"]}], "goal": ["g"]}',
+    "temporal action": '{"fluents": ["g"], "skills": [{"name": "s", "kind": "delay",'
+    ' "duration": 2, "raises": ["g"]}], "temporal_actions": [{"name": "t u", "skills": ["s"]}],'
+    ' "goal": ["g"]}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPACED_NAMES))
+def test_whitespace_in_a_domain_name_is_an_input_error(tmp_path, capsys, kind):
+    domain = tmp_path / "d.json"
+    domain.write_text(SPACED_NAMES[kind])
+    plan = tmp_path / "p.plan.json"
+    plan.write_text("{}")
+    for argv in (["solve", domain], ["encode", domain], ["validate", domain, plan]):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # the message names the domain entity, not a model variable
+        assert f"[name-without-whitespace] {kind} " in captured.err

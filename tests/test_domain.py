@@ -128,6 +128,18 @@ def test_validate_diagnostics():
     rules = [diag.rule for diag in validate_domain(shared_component)]
     assert "skill-single-aggregate" in rules
 
+    spaced = Domain(
+        (Fluent("p q"),),
+        (Skill("a b", SkillKind.DELAY, 1),),
+        temporal_actions=(TemporalAction("t\tu", ("a b",)),),
+    )
+    messages = [str(diag) for diag in validate_domain(spaced)]
+    assert messages == [
+        "[name-without-whitespace] fluent 'p q' contains whitespace",
+        "[name-without-whitespace] skill 'a b' contains whitespace",
+        "[name-without-whitespace] temporal action 't\\tu' contains whitespace",
+    ]
+
 
 def test_lowers_examples():
     d = Domain(

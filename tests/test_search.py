@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -49,6 +50,15 @@ def test_find_plan_minimal_domain():
     assert report.is_valid
     # oracle confirms the stage count is minimal (nothing below 1 to probe)
     assert enumerate_models(TINY, 1).is_sat
+
+
+def test_a_huge_max_n_builds_no_schedule():
+    # the schedule is a range, so its size does not grow with max_n
+    assert sys.getsizeof(_n_schedule(10**12, False)) == sys.getsizeof(_n_schedule(4, False))
+    huge = find_plan(TINY, limits=SearchLimits(max_n=10**12))
+    small = find_plan(TINY, limits=SearchLimits(max_n=4))
+    assert huge.found and (huge.n_found, huge.nodes) == (small.n_found, small.nodes)
+    assert plan_to_document(huge.plan) == plan_to_document(small.plan)
 
 
 def test_find_plan_exhausts_on_unreachable_goal():

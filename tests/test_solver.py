@@ -295,6 +295,48 @@ def test_reset_after_a_solve_wakes_every_row():
         assert _root_fixpoint(engine) == _root_fixpoint(fresh)
 
 
+def _guarded_row_at_the_root(pin_g1: bool, body: Lin):
+    """The row (g0 and g1 and y >= 3) -> body over x, y in 0..5 with x >= 2,
+    propagated at the root, with g0 true and g1 true when ``pin_g1``.
+    Returns the bounds of g1 and the upper bound of y."""
+    m = CspModel()
+    g0, g1 = m.new_bool("g0"), m.new_bool("g1")
+    x, y = m.new_int("x", 0, 5), m.new_int("y", 0, 5)
+    m.add(Lin((Term(-1, INT, x),), LE, -2))
+    m.add(Clause((Lit(g0),)))
+    if pin_g1:
+        m.add(Clause((Lit(g1),)))
+    m.add(Implies((Lit(g0), Lit(g1), Cmp(y, GE, 3)), body))
+    engine = Engine(m)
+    assert engine.propagate()
+    uid_g1 = engine.bool_uid[g1]
+    return engine.lo[uid_g1], engine.hi[uid_g1], engine.hi[engine.int_uid[y]]
+
+
+X_LE_1 = Lin((Term(1, INT, 0),), LE, 1)  # refuted: x >= 2
+X_PLUS_Y_EQ_12 = Lin((Term(1, INT, 0), Term(1, INT, 1)), EQ, 12)  # refuted on >= only
+
+
+@pytest.mark.parametrize("body", [X_LE_1, X_PLUS_Y_EQ_12], ids=["le", "eq"])
+def test_a_refuted_body_forces_the_one_open_guard_literal(body):
+    # g0 and g1 hold, so y >= 3 is the one open guard literal: it must fail
+    assert _guarded_row_at_the_root(True, body) == (1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "pin_g1, body",
+    [
+        (False, X_LE_1),  # two open guard literals: g1 and y >= 3
+        (False, X_PLUS_Y_EQ_12),
+        (True, Lin((Term(1, INT, 0), Term(1, INT, 1)), LE, 10)),  # entailed
+        (True, Lin((Term(1, INT, 0), Term(1, INT, 1)), EQ, 9)),  # open
+    ],
+    ids=["two-open-le", "two-open-eq", "entailed", "open-body"],
+)
+def test_nothing_is_forced_while_the_body_may_hold_or_the_guard_is_open(pin_g1, body):
+    assert _guarded_row_at_the_root(pin_g1, body) == (int(pin_g1), 1, 5)
+
+
 # sha256 over (status, nodes, assignment, objective) of the solves in
 # test_search_is_pinned_on_random_models, computed on the engine that read
 # integer atoms as <=, >= and == before every atom became a bound literal

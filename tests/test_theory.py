@@ -40,6 +40,9 @@ def test_preconditions():
     broken = Domain((Fluent("p"),), (Skill("a", SkillKind.DELAY, 0),))
     with pytest.raises(InvalidDomainError):
         instantiate(broken, 1)
+    spaced = Domain((Fluent("p q"),), (Skill("a", SkillKind.DELAY, 1),))
+    with pytest.raises(InvalidDomainError, match="name-without-whitespace"):
+        instantiate(spaced, 1)
 
 
 def test_copy_cap_rules():
