@@ -34,7 +34,7 @@ from .search import (
     plan_to_document,
 )
 from .cpmodel import CspModel, export_model, parse_model
-from .solver import SolveResult, SolverConfig, brute_force_solve, solve
+from .solver import SolveResult, brute_force_solve, solve
 from .theory import TheoryShape, instantiate
 from .validator import ValidationReport, enumerate_models, validate_plan
 
@@ -58,7 +58,6 @@ __all__ = [
     "Skill",
     "SkillKind",
     "SolveResult",
-    "SolverConfig",
     "TemporalAction",
     "TheoryShape",
     "TimingDiagram",

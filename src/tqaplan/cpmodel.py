@@ -88,12 +88,7 @@ class IffConj:
     atoms: tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
-class ExactlyOne:
-    lits: tuple[Lit, ...]
-
-
-Constraint = Union[Clause, Lin, Implies, IffConj, ExactlyOne]
+Constraint = Union[Clause, Lin, Implies, IffConj]
 
 
 class ModelFormatError(ValueError):
@@ -173,7 +168,7 @@ class CspModel:
                     atom_groups = (con.guard, body.lits)
                 else:
                     atom_groups, lin = (con.guard,), body
-            elif isinstance(con, (Clause, ExactlyOne)):
+            elif isinstance(con, Clause):
                 atom_groups = (con.lits,)
             elif isinstance(con, Lin):
                 atom_groups, lin = (), con
@@ -227,8 +222,6 @@ def export_model(m: CspModel) -> str:
         elif isinstance(con, IffConj):
             toks = ["iff", con.lit.token(), str(len(con.atoms))]
             lines.append(" ".join(toks + [a.token() for a in con.atoms]))
-        elif isinstance(con, ExactlyOne):
-            lines.append(" ".join(["exactone", str(len(con.lits))] + [l.token() for l in con.lits]))
     if m.objective is not None:
         lines.append(
             " ".join(["minimize", str(len(m.objective))] + [t.token() for t in m.objective])
@@ -334,8 +327,6 @@ def parse_model(text: str) -> CspModel:
         elif kind == "iff":
             atoms = _exactly(tokens, 2, ln)
             m.add(IffConj(_parse_lit(tokens[1]), tuple(_parse_atom(t) for t in atoms)))
-        elif kind == "exactone":
-            m.add(ExactlyOne(tuple(_parse_lit(t) for t in _exactly(tokens, 1, ln))))
         elif kind == "minimize":
             if m.objective is not None:
                 raise ModelFormatError(f"second objective line {ln!r}")

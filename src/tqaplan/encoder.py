@@ -30,7 +30,6 @@ from .cpmodel import (
     Clause,
     Cmp,
     CspModel,
-    ExactlyOne,
     IffConj,
     Implies,
     Lin,
@@ -38,7 +37,7 @@ from .cpmodel import (
     Term,
 )
 from .domain import ConstraintRel, Domain, FluentRole, SkillKind, lowers, raises_of
-from .theory import TheoryShape
+from .theory import FLOW_TAGS, TheoryShape
 
 OBJECTIVE_KINDS = ("none", "costs", "makespan")
 
@@ -80,6 +79,10 @@ class Encoder:
     def _flow(self, fluent: str, t: int, v: int, w: int) -> Lit:
         return Lit(self.flow_id[(fluent, t, v, w)])
 
+    def _one_flow(self, fluent: str, t: int, *tags: tuple[int, int]) -> Lin:
+        """Exactly one of the flows ``tags`` of ``fluent`` at stage ``t``."""
+        return Lin(tuple(Term(1, BOOL, self.flow_id[(fluent, t, v, w)]) for v, w in tags), EQ, 1)
+
     def contains_lit(self, ai: int, k: int, t: int) -> Lit:
         """The reified 'copy k of action ai spans stage t' literal."""
         return Lit(self._contains_id[(ai, k, t)])
@@ -108,11 +111,11 @@ class Encoder:
         for fluent in shape.fluent_names:
             if self.t0 == 1:
                 if fluent in init:
-                    m.add(ExactlyOne((self._flow(fluent, 1, 1, 0), self._flow(fluent, 1, 1, 1))))
+                    m.add(self._one_flow(fluent, 1, (1, 0), (1, 1)))
                     m.add(Clause((self._flow(fluent, 1, 0, 0).negate(),)))
                     m.add(Clause((self._flow(fluent, 1, 0, 1).negate(),)))
                 else:
-                    m.add(ExactlyOne((self._flow(fluent, 1, 0, 1), self._flow(fluent, 1, 0, 0))))
+                    m.add(self._one_flow(fluent, 1, (0, 1), (0, 0)))
                     m.add(Clause((self._flow(fluent, 1, 1, 0).negate(),)))
                     m.add(Clause((self._flow(fluent, 1, 1, 1).negate(),)))
             for t in self._stages(1, n, shift=1):
@@ -130,13 +133,9 @@ class Encoder:
                         )
                     )
             if fluent in goal:
-                self.tail(ExactlyOne((self._flow(fluent, n, 0, 1), self._flow(fluent, n, 1, 1))))
+                self.tail(self._one_flow(fluent, n, (0, 1), (1, 1)))
             for t in self._stages(2, n + 1):
-                m.add(
-                    ExactlyOne(
-                        tuple(self._flow(fluent, t, v, w) for v in (0, 1) for w in (0, 1))
-                    )
-                )
+                m.add(self._one_flow(fluent, t, *FLOW_TAGS))
             for t in self._stages(1, n + 1):
                 s = self.split_id[(fluent, t)]
                 b_prev = self.boundary_id[t - 1]

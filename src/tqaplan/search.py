@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 from .domain import Domain
 from .encoder import Encoder, cost_scale
 from .intervals import Interval
-from .solver import Assignment, Engine, SolverConfig, solve
+from .solver import Assignment, Engine, check_budgets, solve
 from .theory import TheoryShape, instantiate
 
 FOUND, EXHAUSTED, RESOURCE_LIMIT = "found", "exhausted", "limit"
@@ -81,6 +81,19 @@ class TimingDiagram:
         raise KeyError(f"no action entry {name}@{actor}#{copy}")
 
 
+def stage_entries(fluent: str, t: int, boundaries, v: int, w: int, split: int):
+    """The TQA entries of ``fluent`` at stage ``t`` with truth ``v`` before
+    ``split`` and ``w`` after it: one part-1 entry over the whole stage when
+    ``v == w`` (``split`` unread), else a part-0 and a part-1 entry."""
+    left, right = boundaries[t - 1], boundaries[t]
+    if v == w:
+        return ((FluentTqaKey(fluent, t, 1), (bool(w), left, right)),)
+    return (
+        (FluentTqaKey(fluent, t, 0), (bool(v), left, split)),
+        (FluentTqaKey(fluent, t, 1), (bool(w), split, right)),
+    )
+
+
 def decode(shape: TheoryShape, assignment: Assignment) -> tuple[Plan, TimingDiagram]:
     """Turn a satisfying assignment into per-stage TQA entries and the merged
     timing diagram.  Trips an assertion if the flow exactly-one invariant is
@@ -100,14 +113,8 @@ def decode(shape: TheoryShape, assignment: Assignment) -> tuple[Plan, TimingDiag
                 raise AssertionError(
                     f"flow invariant violated for ({fluent}, stage {t}): {tags}"
                 )
-            v, w = tags[0]
-            left, right = boundaries[t - 1], boundaries[t]
-            if v == w:
-                fluent_entries[FluentTqaKey(fluent, t, 1)] = (bool(w), left, right)
-            else:
-                split = assignment.ints[shape.split_id[(fluent, t)]]
-                fluent_entries[FluentTqaKey(fluent, t, 0)] = (bool(v), left, split)
-                fluent_entries[FluentTqaKey(fluent, t, 1)] = (bool(w), split, right)
+            split = assignment.ints[shape.split_id[(fluent, t)]]
+            fluent_entries.update(stage_entries(fluent, t, boundaries, *tags[0], split))
 
     action_entries: dict[ActionKey, tuple[int, int]] = {}
     for ai, ref in enumerate(shape.actions):
@@ -151,6 +158,13 @@ class SearchLimits:
     horizon: Optional[int] = None
     time_budget: float = 300.0
     node_budget: int = 100_000_000
+
+    def __post_init__(self) -> None:
+        if self.max_n < 1:
+            raise ValueError("max_n must be at least 1")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        check_budgets(self.time_budget, self.node_budget)
 
 
 @dataclass
@@ -200,13 +214,6 @@ def find_plan(
     a fixed horizon a skipped count may have a plan.  Each probe gets the
     remainder of the limits' time budget and their full node budget.
     """
-    if limits.max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    if limits.horizon is not None and limits.horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    # written so that a NaN budget fails too
-    if not (limits.time_budget > 0 and limits.node_budget > 0):
-        raise ValueError("budgets must be positive")
     started = time.monotonic()
     total_nodes = 0
     grower = Encoder(objective, limits.copy_cap)
@@ -235,11 +242,7 @@ def find_plan(
         remaining = limits.time_budget - (time.monotonic() - started)
         if remaining <= 0:
             return outcome(RESOURCE_LIMIT, limit_reason="time budget")
-        result = solve(
-            model,
-            SolverConfig(time_budget=remaining, node_budget=limits.node_budget),
-            engine,
-        )
+        result = solve(model, engine, time_budget=remaining, node_budget=limits.node_budget)
         total_nodes += result.nodes
         if result.status == "limit":
             return outcome(RESOURCE_LIMIT, limit_reason=result.reason)

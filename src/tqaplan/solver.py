@@ -13,10 +13,10 @@ row that acts as the clause's last disjunct.  A clause row is one clause;
 a guarded row ``g1 and ... and gn -> body`` is the clause ``(not g1 or ...
 or not gn or body)``; a reified conjunction ``lit <-> a1 and ... and an``
 is the clause ``(not a1 or ... or not an or lit)`` plus the binary clauses
-``(not lit or ai)``, kept in one row; a linear row is a clause with no
-literals and the row as its body, and an exactly-one row is the linear
-equality it is.  One propagator runs every clause.  A model that grows
-keeps its compiled rows: only new rows and a per-model tail are compiled.
+``(not lit or ai)``, kept in one row; and a linear row, an exactly-one
+among them, is a clause with no literals and the row as its body.  One
+propagator runs every clause.  A model that grows keeps its compiled rows:
+only new rows and a per-model tail are compiled.
 
 Propagation runs rows from two queues.  A bound change wakes the rows
 that watch its variable into a FIFO queue, which runs oldest first; the
@@ -50,7 +50,6 @@ from .cpmodel import (
     LE,
     Clause,
     CspModel,
-    ExactlyOne,
     IffConj,
     Implies,
     Lin,
@@ -65,7 +64,6 @@ __all__ = [
     "Engine",
     "GuardExceededError",
     "SolveResult",
-    "SolverConfig",
     "brute_force_solve",
     "check_assignment",
     "export_model",
@@ -81,15 +79,10 @@ class GuardExceededError(ValueError):
     """The enumeration oracle refuses search spaces past its guard."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    time_budget: float = 300.0
-    node_budget: int = 100_000_000
-
-    def __post_init__(self) -> None:
-        # written so that a NaN budget fails too
-        if not (self.time_budget > 0 and self.node_budget > 0):
-            raise ValueError("budgets must be positive")
+def check_budgets(time_budget: float, node_budget: int) -> None:
+    """Reject a budget that is not positive, NaN included."""
+    if not (time_budget > 0 and node_budget > 0):
+        raise ValueError("budgets must be positive")
 
 
 @dataclass(frozen=True)
@@ -151,8 +144,6 @@ def constraint_holds(con, bools, ints) -> bool:
         return _atom_holds(con.lit, bools, ints) == all(
             _atom_holds(a, bools, ints) for a in con.atoms
         )
-    if isinstance(con, ExactlyOne):
-        return sum(1 for l in con.lits if _atom_holds(l, bools, ints)) == 1
     raise TypeError(f"unknown constraint {type(con).__name__}")
 
 
@@ -305,11 +296,6 @@ class Engine:
             clauses += [(_negate(lit), a) for a in atoms]
             self._register(tuple((c, None) for c in clauses), [u for u, _, _ in clauses[0]])
             return
-        if isinstance(con, ExactlyOne):
-            # one true literal: the sum of x over positive literals and of
-            # 1 - x over negative ones is 1
-            terms = tuple(Term(1 if l.val else -1, BOOL, l.var) for l in con.lits)
-            con = Lin(terms, EQ, 1 - sum(not l.val for l in con.lits))
         # (g1 and ... and gn) -> body is (not g1 or ... or not gn or body)
         guard: tuple = ()
         if isinstance(con, Implies):
@@ -318,6 +304,7 @@ class Engine:
             clause = guard + tuple(self._literals(con.lits))
             self._register(((clause, None),), [u for u, _, _ in clause])
             return
+        # a linear row, guarded or not, is the body of that clause
         bool_uid, int_uid = self.bool_uid, self.int_uid
         terms = tuple(
             (t.coef, bool_uid[t.var] if t.space == BOOL else int_uid[t.var]) for t in con.terms
@@ -568,19 +555,25 @@ class Engine:
 
 
 def solve(
-    m: CspModel, cfg: SolverConfig = SolverConfig(), engine: Optional[Engine] = None
+    m: CspModel,
+    engine: Optional[Engine] = None,
+    *,
+    time_budget: float = 300.0,
+    node_budget: int = 100_000_000,
 ) -> SolveResult:
     """Decide satisfiability (optimizing when the model has an objective).
 
     ``engine``, if given, has just loaded ``m`` (see :meth:`Engine.load`);
-    otherwise ``m`` is compiled here.  Every satisfying assignment returned
-    has been re-checked against the raw constraint list; optimal results
-    come from a closed branch-and-bound.
+    otherwise ``m`` is compiled here.  The budgets, in seconds and in nodes,
+    cover the whole solve and must be positive.  Every satisfying assignment
+    returned has been re-checked against the raw constraint list; optimal
+    results come from a closed branch-and-bound.
     """
+    check_budgets(time_budget, node_budget)
     if engine is None:
         engine = Engine(m)
-    deadline = time.monotonic() + cfg.time_budget
-    status, assignment = engine.search(deadline, cfg.node_budget)
+    deadline = time.monotonic() + time_budget
+    status, assignment = engine.search(deadline, node_budget)
     if status == LIMIT:
         return SolveResult(LIMIT, reason=assignment, nodes=engine.nodes)
     if status == UNSAT:
@@ -594,7 +587,7 @@ def solve(
     while True:
         engine.reset()
         engine.add_bound(m.objective, best_val - 1)
-        status, assignment = engine.search(deadline, cfg.node_budget)
+        status, assignment = engine.search(deadline, node_budget)
         if status == UNSAT:
             return SolveResult(SAT, best, best_val, nodes=engine.nodes)
         if status == LIMIT:
@@ -637,7 +630,7 @@ def brute_force_solve(m: CspModel, guard: int = 1 << 24) -> SolveResult:
             atoms, con = con.guard, con.body
         if isinstance(con, IffConj):
             atoms = (con.lit, *con.atoms)
-        elif isinstance(con, (Clause, ExactlyOne)):
+        elif isinstance(con, Clause):
             atoms += con.lits
         uids = [a.var if isinstance(a, Lit) else nb + a.var for a in atoms]
         if isinstance(con, Lin):

@@ -29,7 +29,7 @@ from .domain import (
     validate_domain,
 )
 from .intervals import AllenRelation, CompositeRelation, Interval, allen_relation, holds_composite
-from .search import ActionKey, FluentTqaKey, Plan, Segment, diagram_from_plan, merge_segments
+from .search import ActionKey, Plan, Segment, diagram_from_plan, merge_segments, stage_entries
 from .solver import GuardExceededError
 from .theory import InvalidDomainError, default_horizon, effective_copy_cap, ground_actions
 
@@ -667,13 +667,8 @@ def _compatible_combo(d: Domain, fluents, survivors):
 
 
 def _build_plan(fluents, combo, entries, boundaries, n) -> Plan:
-    fluent_entries: dict[FluentTqaKey, tuple[bool, int, int]] = {}
+    fluent_entries = {}
     for fluent, (stages, *_) in zip(fluents, combo):
-        for t, (v, w, split) in enumerate(stages, start=1):
-            lo, hi = boundaries[t - 1], boundaries[t]
-            if v == w:
-                fluent_entries[FluentTqaKey(fluent, t, 1)] = (bool(w), lo, hi)
-            else:
-                fluent_entries[FluentTqaKey(fluent, t, 0)] = (bool(v), lo, split)
-                fluent_entries[FluentTqaKey(fluent, t, 1)] = (bool(w), split, hi)
+        for t, stage in enumerate(stages, start=1):
+            fluent_entries.update(stage_entries(fluent, t, boundaries, *stage))
     return Plan(fluent_entries, dict(entries), tuple(boundaries), n)

@@ -13,7 +13,6 @@ from tqaplan.cpmodel import (
     Clause,
     Cmp,
     CspModel,
-    ExactlyOne,
     IffConj,
     Implies,
     Lin,
@@ -143,7 +142,10 @@ def random_small_model(rng: random.Random) -> CspModel:
         elif kind < 0.9:
             m.add(IffConj(blit(), tuple(atom() for _ in range(rng.randrange(1, 3)))))
         else:
-            m.add(ExactlyOne(tuple(blit() for _ in range(rng.randrange(1, 4)))))
+            # exactly one true literal, a negated literal -b counting as 1 - b
+            lits = [blit() for _ in range(rng.randrange(1, 4))]
+            terms = tuple(Term(1 if lit.val else -1, BOOL, lit.var) for lit in lits)
+            m.add(Lin(terms, EQ, 1 - sum(not lit.val for lit in lits)))
     if rng.random() < 0.5:
         terms = []
         for _ in range(rng.randrange(1, 3)):

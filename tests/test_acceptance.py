@@ -21,7 +21,6 @@ from tqaplan.intervals import INVERSE, AllenRelation, Interval, allen_relation
 from tqaplan.search import SearchLimits, decode, find_plan
 from tqaplan.solver import (
     GuardExceededError,
-    SolverConfig,
     brute_force_solve,
     solve,
 )
@@ -77,7 +76,7 @@ def test_criterion_2_encoder_oracle_equivalence():
             if horizon < n:
                 continue
             shape = instantiate(domain, n, None, horizon)
-            mine = solve(encode(shape), SolverConfig(time_budget=60))
+            mine = solve(encode(shape), time_budget=60)
             assert mine.status != "limit"
             try:
                 truth = enumerate_models(domain, n, None, horizon)
@@ -103,7 +102,7 @@ def test_criterion_3_solver_brute_force_agreement():
     status_mismatch = objective_mismatch = 0
     for _ in range(220):
         model = random_small_model(rng)
-        mine = solve(model, SolverConfig(time_budget=60))
+        mine = solve(model, time_budget=60)
         truth = brute_force_solve(model)
         if mine.is_sat != truth.is_sat:
             status_mismatch += 1
@@ -310,7 +309,7 @@ def test_criterion_9_makespan_optimality():
         if horizon < n:
             continue
         shape = instantiate(domain, n, None, horizon)
-        mine = solve(encode(shape, "makespan"), SolverConfig(time_budget=60))
+        mine = solve(encode(shape, "makespan"), time_budget=60)
         if not mine.is_sat:
             continue
         try:

@@ -16,7 +16,6 @@ from tqaplan.cpmodel import (
     Clause,
     Cmp,
     CspModel,
-    ExactlyOne,
     IffConj,
     Implies,
     Lin,
@@ -40,7 +39,7 @@ def sample_model() -> CspModel:
     m.add(Implies((Lit(b0), Cmp(x, EQ, 2)), Lin((Term(1, INT, y),), LE, 1)))
     m.add(Implies((Cmp(y, GE, 0),), Clause((Lit(b1),))))
     m.add(IffConj(Lit(b1), (Lit(b0), Cmp(x, LE, 5))))
-    m.add(ExactlyOne((Lit(b0), Lit(b1))))
+    m.add(Lin((Term(1, BOOL, b0), Term(1, BOOL, b1)), EQ, 1))
     m.minimize((Term(1, INT, x), Term(3, BOOL, b0)))
     return m
 
@@ -107,8 +106,7 @@ HEADER = "cspmodel 1\nbool b0\nbool b1\nint 0 3 x\n"
         "iff +b0",
         "iff +b0 2 +b1",
         "iff i0==1 0",
-        "exactone 2 +b0",
-        "exactone 1 +b0 +b1",
+        "exactone 1 +b0",  # unknown kind: an exactly-one is written as a lin eq row
         "lin",
         "lin le",
         "lin le 0 1",
@@ -130,9 +128,7 @@ def test_parse_rejects_every_malformed_line(line):
 
 
 def test_parse_accepts_empty_counts():
-    m = parse_model(
-        HEADER + "clause 0\nexactone 0\niff +b0 0\nimp 0 lin le 3 1 1*i0\nminimize 0\n"
-    )
+    m = parse_model(HEADER + "clause 0\niff +b0 0\nimp 0 lin le 3 1 1*i0\nminimize 0\n")
     assert parse_model(export_model(m)) == m
 
 
@@ -181,9 +177,6 @@ def _reference_check(m: CspModel) -> None:
             check_atom(con.lit)
             for a in con.atoms:
                 check_atom(a)
-        elif isinstance(con, ExactlyOne):
-            for lit in con.lits:
-                check_atom(lit)
         else:
             raise ModelFormatError(f"unknown constraint type {type(con).__name__}")
     if m.objective is not None:
@@ -241,13 +234,10 @@ def _corrupt(rng: random.Random, m: CspModel) -> None:
             con = Implies(bad_atoms(con.guard), con.body) if rng.random() < 0.5 else Implies(
                 con.guard, bad_body(con.body)
             )
-        elif isinstance(con, IffConj):
-            if rng.random() < 0.3:
-                con = IffConj(bad_atom(con.lit), con.atoms)
-            else:
-                con = IffConj(con.lit, bad_atoms(con.atoms))
+        elif rng.random() < 0.3:
+            con = IffConj(bad_atom(con.lit), con.atoms)
         else:
-            con = ExactlyOne(bad_atoms(con.lits))
+            con = IffConj(con.lit, bad_atoms(con.atoms))
         m.constraints[i] = con
     if m.objective and rng.random() < 0.3:
         m.objective = bad_terms(m.objective)

@@ -16,7 +16,6 @@ from tqaplan.cpmodel import (
     INT,
     Clause,
     CspModel,
-    ExactlyOne,
     IffConj,
     Implies,
     Lin,
@@ -36,7 +35,7 @@ from tqaplan.domain import (
     parse_domain,
 )
 from tqaplan.encoder import Encoder, encode
-from tqaplan.solver import GuardExceededError, SolverConfig, solve
+from tqaplan.solver import GuardExceededError, solve
 from tqaplan.theory import default_horizon, instantiate
 from tqaplan.validator import enumerate_models
 
@@ -59,7 +58,7 @@ def forced_true(domain, n, pins_b=(), pins_i=(), query=None, horizon=None, cap=1
            pins_i(shape) if callable(pins_i) else pins_i)
     var, val = query(shape)
     model.add(Clause((Lit(var, not val),)))
-    return solve(model, SolverConfig(time_budget=60)).is_unsat
+    return solve(model, time_budget=60).is_unsat
 
 
 def test_flow_init_goal_rows_force_steady_truth():
@@ -67,10 +66,10 @@ def test_flow_init_goal_rows_force_steady_truth():
     # that is both an initial condition and a goal, at one stage
     m = CspModel()
     flows = {vw: m.new_bool(f"f{vw}") for vw in ("00", "01", "10", "11")}
-    m.add(ExactlyOne((Lit(flows["10"]), Lit(flows["11"]))))
+    m.add(Lin((Term(1, BOOL, flows["10"]), Term(1, BOOL, flows["11"])), EQ, 1))
     m.add(Clause((Lit(flows["00"], False),)))
     m.add(Clause((Lit(flows["01"], False),)))
-    m.add(ExactlyOne((Lit(flows["01"]), Lit(flows["11"]))))
+    m.add(Lin((Term(1, BOOL, flows["01"]), Term(1, BOOL, flows["11"])), EQ, 1))
     solutions = [
         bits
         for bits in itertools.product((False, True), repeat=4)
@@ -92,7 +91,7 @@ def test_flow_init_goal_rows_force_steady_truth():
         goal=frozenset({"p"}),
     )
     shape = instantiate(d, 1)
-    res = solve(encode(shape), SolverConfig(time_budget=30))
+    res = solve(encode(shape), time_budget=30)
     assert res.is_sat
     assert res.assignment.bools[shape.flow_id[("p", 1, 1, 1)]]
 
@@ -123,9 +122,9 @@ def test_duration_forces_boundary_gap():
     )
     gap = (Term(1, INT, shape.boundary_id[1]), Term(-1, INT, shape.boundary_id[0]))
     model.add(Lin(gap, EQ, 3))
-    assert solve(model, SolverConfig(time_budget=30)).is_sat
+    assert solve(model, time_budget=30).is_sat
     check.add(Lin(gap, "le", 2))
-    assert solve(check, SolverConfig(time_budget=30)).is_unsat
+    assert solve(check, time_budget=30).is_unsat
 
 
 def test_unused_copy_is_parked():
@@ -133,7 +132,7 @@ def test_unused_copy_is_parked():
     shape = instantiate(d, 2, 1, 4)
     model = encode(shape)
     pinned(model, [(shape.use_id[(0, 1)], False)])
-    res = solve(model, SolverConfig(time_budget=30))
+    res = solve(model, time_budget=30)
     assert res.is_sat
     assert res.assignment.ints[shape.left_id[(0, 1)]] == 3  # n + 1
     assert res.assignment.ints[shape.right_id[(0, 1)]] == 0
@@ -144,10 +143,10 @@ def test_copy_symmetry_and_ordering():
     shape = instantiate(d, 3, 2, 6)
     model = encode(shape)
     pinned(model, [(shape.use_id[(0, 2)], True), (shape.use_id[(0, 1)], False)])
-    assert solve(model, SolverConfig(time_budget=30)).is_unsat  # u2 -> u1
+    assert solve(model, time_budget=30).is_unsat  # u2 -> u1
     model2 = encode(shape)
     pinned(model2, [(shape.use_id[(0, 2)], True)])
-    res = solve(model2, SolverConfig(time_budget=30))
+    res = solve(model2, time_budget=30)
     assert res.is_sat
     r1 = res.assignment.ints[shape.right_id[(0, 1)]]
     l2 = res.assignment.ints[shape.left_id[(0, 2)]]
@@ -175,19 +174,19 @@ def test_contains_spans_force_truth():
         model = encode(shape)
         pinned(model, pins_b, pins_i)
         model.add(Clause((Lit(shape.flow_id[("p", stage, 1, 1)], False),)))
-        assert solve(model, SolverConfig(time_budget=60)).is_unsat
+        assert solve(model, time_budget=60).is_unsat
     # true at the end of stage 1: one of the two stage-1 "ends true" flows
     model = encode(shape)
     pinned(model, pins_b, pins_i)
     model.add(Clause((Lit(shape.flow_id[("p", 1, 0, 1)], False),)))
     model.add(Clause((Lit(shape.flow_id[("p", 1, 1, 1)], False),)))
-    assert solve(model, SolverConfig(time_budget=60)).is_unsat
+    assert solve(model, time_budget=60).is_unsat
     # true at the start of stage 4
     model = encode(shape)
     pinned(model, pins_b, pins_i)
     model.add(Clause((Lit(shape.flow_id[("p", 4, 1, 0)], False),)))
     model.add(Clause((Lit(shape.flow_id[("p", 4, 1, 1)], False),)))
-    assert solve(model, SolverConfig(time_budget=60)).is_unsat
+    assert solve(model, time_budget=60).is_unsat
 
 
 def test_contains_boundary_gates():
@@ -196,7 +195,7 @@ def test_contains_boundary_gates():
     use_idx = shape.action_index("use", 1)
     model = encode(shape)
     pinned(model, [(shape.use_id[(use_idx, 1)], True)], [(shape.left_id[(use_idx, 1)], 1)])
-    assert solve(model, SolverConfig(time_budget=60)).is_unsat
+    assert solve(model, time_budget=60).is_unsat
 
     with_init = Domain(
         CONTAINS_DOMAIN.fluents,
@@ -206,7 +205,7 @@ def test_contains_boundary_gates():
     shape2 = instantiate(with_init, 2, 1, 8)
     model2 = encode(shape2)
     pinned(model2, [(shape2.use_id[(use_idx, 1)], True)], [(shape2.left_id[(use_idx, 1)], 1)])
-    assert solve(model2, SolverConfig(time_budget=60)).is_sat
+    assert solve(model2, time_budget=60).is_sat
 
 
 def test_overlaps_forces_single_fall_inside_span():
@@ -231,10 +230,10 @@ def test_overlaps_forces_single_fall_inside_span():
     model = encode(shape)
     pinned(model, [(shape.use_id[(ride, 1)], True)])
     model.add(Clause((Lit(shape.flow_id[("p", 1, 1, 0)], False),)))
-    assert solve(model, SolverConfig(time_budget=60)).is_unsat
+    assert solve(model, time_budget=60).is_unsat
     model2 = encode(shape)
     pinned(model2, [(shape.use_id[(ride, 1)], True)])
-    assert solve(model2, SolverConfig(time_budget=60)).is_sat
+    assert solve(model2, time_budget=60).is_sat
 
 
 def test_overlaps_start_gate_needs_init():
@@ -245,7 +244,7 @@ def test_overlaps_start_gate_needs_init():
     shape = instantiate(d, 1, 1, 4)
     model = encode(shape)
     pinned(model, [(shape.use_id[(0, 1)], True)])
-    assert solve(model, SolverConfig(time_budget=60)).is_unsat  # p never true, no fall
+    assert solve(model, time_budget=60).is_unsat  # p never true, no fall
 
 
 def test_temporal_action_chains_components():
@@ -263,7 +262,7 @@ def test_temporal_action_chains_components():
         [(shape.use_id[(t_idx, 1)], True)],
         [(shape.left_id[(t_idx, 1)], 1), (shape.right_id[(t_idx, 1)], 3)],
     )
-    res = solve(model, SolverConfig(time_budget=60))
+    res = solve(model, time_budget=60)
     assert res.is_sat
     ints = res.assignment.ints
     assert ints[shape.end_id[(a1, 1)]] == ints[shape.start_id[(a2, 1)]]
@@ -272,7 +271,7 @@ def test_temporal_action_chains_components():
     # components may not run without the parent
     model2 = encode(shape)
     pinned(model2, [(shape.use_id[(a1, 1)], True), (shape.use_id[(t_idx, 1)], False)])
-    assert solve(model2, SolverConfig(time_budget=60)).is_unsat
+    assert solve(model2, time_budget=60).is_unsat
 
 
 def test_resource_window_insets():
@@ -287,7 +286,7 @@ def test_resource_window_insets():
         [(shape.use_id[(0, 1)], True)],
         [(shape.left_id[(0, 1)], 1), (shape.right_id[(0, 1)], 5)],
     )
-    res = solve(model, SolverConfig(time_budget=60))
+    res = solve(model, time_budget=60)
     assert res.is_sat
     ints = res.assignment.ints
     assert ints[shape.split_id[("w", 1)]] == ints[shape.boundary_id[0]] + 1
@@ -304,7 +303,7 @@ def test_frame_empty_disjunction_makes_goal_unreachable():
         ' "goal": ["g"]}'
     )
     for n in (1, 2, 3):
-        assert solve(encode(instantiate(d, n)), SolverConfig(time_budget=60)).is_unsat
+        assert solve(encode(instantiate(d, n)), time_budget=60).is_unsat
 
 
 def test_interference_cut_rejects_joint_goals():
@@ -318,7 +317,7 @@ def test_interference_cut_rejects_joint_goals():
         goal=frozenset({"p", "q"}),
     )
     for n in (1, 2, 3):
-        assert solve(encode(instantiate(d, n)), SolverConfig(time_budget=120)).is_unsat
+        assert solve(encode(instantiate(d, n)), time_budget=120).is_unsat
 
 
 def test_encode_deterministic():
@@ -341,7 +340,7 @@ def test_flow_exactly_one_on_solutions():
         if h < n:
             continue
         shape = instantiate(d, n, None, h)
-        res = solve(encode(shape), SolverConfig(time_budget=30))
+        res = solve(encode(shape), time_budget=30)
         if not res.is_sat:
             continue
         found += 1
@@ -364,7 +363,7 @@ def test_oracle_equivalence_batch():
             h = min(default_horizon(d, n), 6)
             if h < n:
                 continue
-            res = solve(encode(instantiate(d, n, None, h)), SolverConfig(time_budget=60))
+            res = solve(encode(instantiate(d, n, None, h)), time_budget=60)
             try:
                 truth = enumerate_models(d, n, None, h)
             except GuardExceededError:
@@ -375,8 +374,9 @@ def test_oracle_equivalence_batch():
 
 
 # sha256 of the concatenated export_model text over GOLDEN_GRID, computed on
-# the encoder before the domain/shape lookup tables were introduced
-GOLDEN_DIGEST = "a1d2259c695da14a7cf3057319ead2641bf4c4357638dfab1fb7b3da29fdb38e"
+# the encoder before the domain/shape lookup tables were introduced, with each
+# exactly-one line then rewritten as the equal ``lin eq`` row
+GOLDEN_DIGEST = "449a5e79accde1d2fdb7d73df73b30398cc7754844f768df5b81d42e83922507"
 # (type, copies, height), n*: the minimal stage count at copy cap 1
 GOLDEN_GRID = ((("I", 20, None), 4), (("II", 3, 3), 14), (("III", 3, 3), 17), (("II", 1, 2), 9))
 
@@ -397,7 +397,7 @@ def test_models_are_byte_identical_to_the_golden_digest():
 
 # the same, over random tiny domains: several raisers per fluent, equality
 # resources, interference and temporal actions, which the gadgets lack
-GOLDEN_TINY_DIGEST = "16b86e8ca8e81955cc0a3cecb57a3406b1013829d19a0ff41237535f2f6b3414"
+GOLDEN_TINY_DIGEST = "bbb1d2d20d67586c16b36cf1e7ba36735cc0eb473fdcbe1d5b24f4de3338248d"
 
 
 def test_tiny_domain_models_are_byte_identical_to_the_golden_digest():

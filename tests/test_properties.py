@@ -11,7 +11,7 @@ from tqaplan.cpmodel import export_model, parse_model
 from tqaplan.encoder import encode
 from tqaplan.intervals import History, Interval, Tqa, check_tqa
 from tqaplan.search import SearchLimits, find_plan
-from tqaplan.solver import SolverConfig, solve
+from tqaplan.solver import solve
 from tqaplan.theory import ground_actions, instantiate
 from tqaplan.validator import validate_plan
 
@@ -86,8 +86,8 @@ def test_model_text_round_trip_preserves_solving():
         model = random_small_model(rng)
         again = parse_model(export_model(model))
         assert again == model
-        a = solve(model, SolverConfig(time_budget=20))
-        b = solve(again, SolverConfig(time_budget=20))
+        a = solve(model, time_budget=20)
+        b = solve(again, time_budget=20)
         assert (a.status, a.objective, a.nodes) == (b.status, b.objective, b.nodes)
 
 
@@ -102,7 +102,7 @@ def test_encoded_model_survives_its_text_form():
     again = parse_model(text)
     assert again == model
     assert export_model(again) == text
-    first = solve(model, SolverConfig(time_budget=30))
-    second = solve(again, SolverConfig(time_budget=30))
+    first = solve(model, time_budget=30)
+    second = solve(again, time_budget=30)
     assert first.is_sat and second.is_sat
     assert first.objective == second.objective

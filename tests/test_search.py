@@ -28,7 +28,7 @@ from tqaplan.search import (
     plan_from_document,
     plan_to_document,
 )
-from tqaplan.solver import SolverConfig, solve
+from tqaplan.solver import solve
 from tqaplan.theory import instantiate
 from tqaplan.validator import enumerate_models, validate_plan
 
@@ -134,7 +134,7 @@ def _reference_find_plan(d, objective, limits, geometric):
         if limits.horizon is not None and limits.horizon < n:
             break
         shape = instantiate(d, n, limits.copy_cap, limits.horizon)
-        result = solve(encode(shape, objective), SolverConfig(time_budget=60))
+        result = solve(encode(shape, objective), time_budget=60)
         nodes += result.nodes
         if result.is_sat:
             plan, _ = decode(shape, result.assignment)
@@ -239,7 +239,7 @@ def test_decode_constant_and_transition_segments():
         ' "goal": ["g"]}'
     )
     shape = instantiate(domain, 2, 1, 4)
-    res = solve(encode(shape), SolverConfig(time_budget=30))
+    res = solve(encode(shape), time_budget=30)
     assert res.is_sat
     plan, diagram = decode(shape, res.assignment)
     total = plan.boundaries[-1]

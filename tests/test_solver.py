@@ -28,7 +28,6 @@ from tqaplan.cpmodel import (
 from tqaplan.solver import (
     Engine,
     GuardExceededError,
-    SolverConfig,
     brute_force_solve,
     check_assignment,
     solve,
@@ -72,8 +71,8 @@ def test_determinism_including_node_count():
     rng = random.Random(42)
     for _ in range(30):
         m = random_small_model(rng)
-        first = solve(m, SolverConfig(time_budget=10))
-        second = solve(m, SolverConfig(time_budget=10))
+        first = solve(m, time_budget=10)
+        second = solve(m, time_budget=10)
         assert first.status == second.status
         assert first.nodes == second.nodes
         assert first.assignment == second.assignment
@@ -86,7 +85,7 @@ def test_node_budget_reports_limit():
     for a, b in zip(xs, xs[1:]):
         m.add(Lin((Term(1, INT, a), Term(-1, INT, b)), LE, -1))
     m.add(Lin((Term(1, INT, xs[-1]), Term(-1, INT, xs[0])), LE, 5))  # tight cycle
-    res = solve(m, SolverConfig(node_budget=1))
+    res = solve(m, node_budget=1)
     assert res.status in ("limit", "unsat")  # tiny budgets may still refute at the root
     res_big = solve(m)
     assert res_big.status == "unsat"
@@ -102,15 +101,15 @@ def test_a_limit_names_the_budget_that_ran_out():
         for a in range(3):
             for b in range(a + 1, 3):
                 m.add(Clause((Lit(x[a][j], False), Lit(x[b][j], False))))
-    res = solve(m, SolverConfig(node_budget=1))
+    res = solve(m, node_budget=1)
     assert (res.status, res.reason) == ("limit", "node budget")
-    assert solve(m, SolverConfig(time_budget=float("inf"))).is_unsat
+    assert solve(m, time_budget=float("inf")).is_unsat
 
 
 @pytest.mark.parametrize("budgets", [{"time_budget": float("nan")}, {"time_budget": 0}])
 def test_budgets_that_are_not_positive_are_rejected(budgets):
     with pytest.raises(ValueError):
-        SolverConfig(**budgets)
+        solve(CspModel(), **budgets)
 
 
 def test_malformed_model_rejected_before_search():
@@ -132,7 +131,7 @@ def test_agreement_random_models():
     rng = random.Random(99)
     for trial in range(150):
         m = random_small_model(rng)
-        mine = solve(m, SolverConfig(time_budget=20))
+        mine = solve(m, time_budget=20)
         truth = brute_force_solve(m)
         assert mine.is_sat == truth.is_sat, trial
         if mine.is_sat:

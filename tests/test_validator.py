@@ -15,7 +15,7 @@ from tqaplan.domain import parse_domain
 from tqaplan.encoder import encode
 from tqaplan.intervals import History, Interval, Tqa, check_tqa
 from tqaplan.search import ActionKey, FluentTqaKey, Plan, SearchLimits, find_plan
-from tqaplan.solver import GuardExceededError, SolverConfig, solve
+from tqaplan.solver import GuardExceededError, solve
 from tqaplan.theory import default_horizon, instantiate
 from tqaplan.validator import enumerate_models, validate_plan
 
@@ -167,8 +167,8 @@ def test_gadget_subminimal_stage_counts_unsat():
     for n in (1, 2):
         assert not enumerate_models(domain, n, 1, 8 if n > 1 else 4).is_sat
     for n in (1, 2, 3):
-        assert solve(encode(instantiate(domain, n, 1)), SolverConfig(time_budget=60)).is_unsat
-    assert solve(encode(instantiate(domain, 4, 1)), SolverConfig(time_budget=60)).is_sat
+        assert solve(encode(instantiate(domain, n, 1)), time_budget=60).is_unsat
+    assert solve(encode(instantiate(domain, 4, 1)), time_budget=60).is_sat
 
 
 def test_agreement_with_encoder_small_batch():
@@ -180,7 +180,7 @@ def test_agreement_with_encoder_small_batch():
             h = min(default_horizon(d, n), 5)
             if h < n:
                 continue
-            mine = solve(encode(instantiate(d, n, None, h)), SolverConfig(time_budget=30))
+            mine = solve(encode(instantiate(d, n, None, h)), time_budget=30)
             try:
                 truth = enumerate_models(d, n, None, h)
             except GuardExceededError:
