@@ -1,6 +1,11 @@
 """Finite-domain constraint model: Boolean/integer variables, clause and
 linear constraints with conjunctive guards and reified conjunctions, plus a
-canonical text form that round-trips exactly."""
+canonical text form that round-trips exactly.
+
+Building a model checks nothing; each rule lives in one place.  Every
+consumer runs :meth:`CspModel.check_well_formed` (domains, ids, ops);
+:func:`export_model` wants each name to be one whitespace-free token, and
+:func:`parse_model` checks each line's tokens (kinds, counts, syntax)."""
 
 from __future__ import annotations
 
@@ -111,7 +116,7 @@ def _check_terms(terms: tuple[Term, ...], nb: int, ni: int) -> None:
             raise ModelFormatError(f"bad variable space {t.space!r}")
 
 
-_has_space = re.compile(r"\s").search
+_is_name = re.compile(r"\S+").fullmatch
 
 
 @dataclass
@@ -124,16 +129,10 @@ class CspModel:
     # -- construction -----------------------------------------------------
 
     def new_bool(self, name: str) -> int:
-        if _has_space(name):
-            raise ValueError(f"variable names must not contain whitespace: {name!r}")
         self.bool_names.append(name)
         return len(self.bool_names) - 1
 
     def new_int(self, name: str, lo: int, hi: int) -> int:
-        if _has_space(name):
-            raise ValueError(f"variable names must not contain whitespace: {name!r}")
-        if lo > hi:
-            raise ValueError(f"empty domain [{lo}, {hi}] for {name!r}")
         self.int_decls.append((name, lo, hi))
         return len(self.int_decls) - 1
 
@@ -154,11 +153,14 @@ class CspModel:
         return len(self.int_decls)
 
     def check_well_formed(self, first_row: int = 0) -> None:
-        """Reject dangling variable references and malformed pieces in the
-        rows from ``first_row`` on and in the objective.
+        """Reject empty integer domains, dangling variable references and
+        malformed pieces in the rows from ``first_row`` on and the objective.
 
         One flat pass over the rows; the first offending atom or term, in
         row order and left to right within a row, decides the error."""
+        for name, lo, hi in self.int_decls:
+            if lo > hi:
+                raise ModelFormatError(f"empty domain [{lo}, {hi}] for {name!r}")
         nb, ni = len(self.bool_names), len(self.int_decls)
         for con in itertools.islice(self.constraints, first_row, None):
             lin = None
@@ -206,8 +208,11 @@ def _body_tokens(body: Union[Clause, Lin]) -> list[str]:
 
 def export_model(m: CspModel) -> str:
     """Serialize to the canonical line format; equal models export to
-    byte-identical text."""
+    byte-identical text.  Each name must be one whitespace-free token."""
     m.check_well_formed()
+    for name in itertools.chain(m.bool_names, (decl[0] for decl in m.int_decls)):
+        if not _is_name(name):
+            raise ModelFormatError(f"variable name {name!r} is not one whitespace-free token")
     lines = ["cspmodel 1"]
     for name in m.bool_names:
         lines.append(f"bool {name}")
@@ -315,10 +320,7 @@ def parse_model(text: str) -> CspModel:
         elif kind == "int":
             if len(tokens) != 4:
                 raise ModelFormatError(f"bad int line {ln!r}")
-            lo, hi = _int(tokens[1]), _int(tokens[2])
-            if lo > hi:
-                raise ModelFormatError(f"empty domain in {ln!r}")
-            m.new_int(tokens[3], lo, hi)
+            m.new_int(tokens[3], _int(tokens[1]), _int(tokens[2]))
         elif kind in ("clause", "lin"):
             m.add(_parse_body(tokens, ln))
         elif kind == "imp":

@@ -6,6 +6,13 @@ use Boolean, stage indices l/r (the copy spans stages l..r-1), and
 channelled start/end timestamps.  Emission order is fixed, so equal inputs
 produce byte-identical models.
 
+Most integer rows instantiate one of two schemata: the difference row
+``x - y op k`` (:func:`_diff`), which orders stage boundaries, copy stage
+indices, timestamps and split points as in a simple temporal network, and
+the bound row ``x op k`` (:func:`_var`), which parks or caps one variable.
+Rows of any other shape (flow conservation, the span-width row, the
+exactly-ones, the objectives) are written out where they are used.
+
 Every family walks a stage range and a copy range.  A row belongs to the
 stage and copy it first exists at; rows whose form depends on the stage
 count itself (the horizon, the last stage, the copy set while it can still
@@ -47,6 +54,14 @@ def cost_scale(domain: Domain) -> int:
     return lcm(*(s.cost.denominator for s in domain.skills), 1)
 
 
+def _diff(x: int, y: int, op: str, k: int) -> Lin:
+    """The difference row ``x - y op k`` over two integer variables."""
+    return Lin((Term(1, INT, x), Term(-1, INT, y)), op, k)
+
+
+def _var(x: int, op: str, k: int) -> Lin:
+    """The bound row ``x op k`` over one integer variable."""
+    return Lin((Term(1, INT, x),), op, k)
 
 
 class Encoder:
@@ -142,27 +157,12 @@ class Encoder:
                 b_cur = self.boundary_id[t]
                 for v, w in ((0, 1), (1, 0)):
                     guard = (self._flow(fluent, t, v, w),)
-                    m.add(
-                        Implies(
-                            guard,
-                            Lin((Term(1, INT, b_prev), Term(-1, INT, s)), LE, -1),
-                        )
-                    )
-                    m.add(
-                        Implies(
-                            guard,
-                            Lin((Term(1, INT, s), Term(-1, INT, b_cur)), LE, -1),
-                        )
-                    )
+                    m.add(Implies(guard, _diff(b_prev, s, LE, -1)))
+                    m.add(Implies(guard, _diff(s, b_cur, LE, -1)))
                 # constant stages have no transition to place; park the split
                 # at its lower bound (decode never reads it there)
                 for v in (0, 1):
-                    m.add(
-                        Implies(
-                            (self._flow(fluent, t, v, v),),
-                            Lin((Term(1, INT, s),), EQ, t - 1),
-                        )
-                    )
+                    m.add(Implies((self._flow(fluent, t, v, v),), _var(s, EQ, t - 1)))
 
     # -- action structure -----------------------------------------------------
 
@@ -171,20 +171,12 @@ class Encoder:
         channelling, and duration rules."""
         shape, m = self.shape, self.model
         n, h = shape.n_stages, shape.horizon
+        b = self.boundary_id
         if self.t0 == 1:
-            m.add(Lin((Term(1, INT, self.boundary_id[0]),), EQ, 0))
+            m.add(_var(b[0], EQ, 0))
         for t in self._stages(1, n + 1):
-            m.add(
-                Lin(
-                    (
-                        Term(1, INT, self.boundary_id[t - 1]),
-                        Term(-1, INT, self.boundary_id[t]),
-                    ),
-                    LE,
-                    -1,
-                )
-            )
-        self.tail(Lin((Term(1, INT, self.boundary_id[n]),), LE, h))
+            m.add(_diff(b[t - 1], b[t], LE, -1))
+        self.tail(_var(b[n], LE, h))
 
         for ai, ref in enumerate(shape.actions):
             skill = shape.skill_of(ref) if ref.kind == "skill" else None
@@ -197,50 +189,18 @@ class Encoder:
                 l_v, r_v = self.left_id[(ai, k)], self.right_id[(ai, k)]
                 s_v, e_v = self.start_id[(ai, k)], self.end_id[(ai, k)]
                 if new:
-                    m.add(Implies((u,), Lin((Term(1, INT, l_v), Term(-1, INT, r_v)), LE, -1)))
-                self.tail(Implies((u.negate(),), Lin((Term(1, INT, l_v),), EQ, n + 1)))
+                    m.add(Implies((u,), _diff(l_v, r_v, LE, -1)))
+                self.tail(Implies((u.negate(),), _var(l_v, EQ, n + 1)))
                 if new:
-                    m.add(Implies((u.negate(),), Lin((Term(1, INT, r_v),), EQ, 0)))
-                    m.add(Implies((u.negate(),), Lin((Term(1, INT, s_v),), EQ, 0)))
-                    m.add(Implies((u.negate(),), Lin((Term(1, INT, e_v),), EQ, 0)))
+                    for x in (r_v, s_v, e_v):
+                        m.add(Implies((u.negate(),), _var(x, EQ, 0)))
                 if new and k > 1:
-                    prev_u = Lit(self.use_id[(ai, k - 1)])
-                    m.add(Clause((u.negate(), prev_u)))
-                    m.add(
-                        Implies(
-                            (u,),
-                            Lin(
-                                (
-                                    Term(1, INT, self.right_id[(ai, k - 1)]),
-                                    Term(-1, INT, l_v),
-                                ),
-                                LE,
-                                0,
-                            ),
-                        )
-                    )
+                    m.add(Clause((u.negate(), Lit(self.use_id[(ai, k - 1)]))))
+                    m.add(Implies((u,), _diff(self.right_id[(ai, k - 1)], l_v, LE, 0)))
                 for t in self._stages(1, n + 1, k):
-                    m.add(
-                        Implies(
-                            (u, Cmp(l_v, EQ, t)),
-                            Lin(
-                                (Term(1, INT, s_v), Term(-1, INT, self.boundary_id[t - 1])),
-                                EQ,
-                                0,
-                            ),
-                        )
-                    )
+                    m.add(Implies((u, Cmp(l_v, EQ, t)), _diff(s_v, b[t - 1], EQ, 0)))
                 for t in self._stages(2, n + 2, k, shift=-1):
-                    m.add(
-                        Implies(
-                            (u, Cmp(r_v, EQ, t)),
-                            Lin(
-                                (Term(1, INT, e_v), Term(-1, INT, self.boundary_id[t - 1])),
-                                EQ,
-                                0,
-                            ),
-                        )
-                    )
+                    m.add(Implies((u, Cmp(r_v, EQ, t)), _diff(e_v, b[t - 1], EQ, 0)))
                 if not new:
                     continue
                 # stages are at least one tick wide, so E - S >= r - l
@@ -262,24 +222,14 @@ class Encoder:
                 if skill is None:
                     continue
                 if skill.kind is SkillKind.DELAY:
-                    m.add(
-                        Implies(
-                            (u,),
-                            Lin((Term(1, INT, e_v), Term(-1, INT, s_v)), EQ, skill.duration),
-                        )
-                    )
-                    m.add(
-                        Implies(
-                            (u,),
-                            Lin((Term(1, INT, r_v), Term(-1, INT, l_v)), LE, skill.duration),
-                        )
-                    )
+                    m.add(Implies((u,), _diff(e_v, s_v, EQ, skill.duration)))
+                    m.add(Implies((u,), _diff(r_v, l_v, LE, skill.duration)))
                 else:
-                    m.add(Implies((u,), Lin((Term(1, INT, s_v), Term(-1, INT, e_v)), LE, -1)))
+                    m.add(Implies((u,), _diff(s_v, e_v, LE, -1)))
                 if has_equals:
                     # one-tick insets on both sides need two ticks of slack
-                    m.add(Implies((u,), Lin((Term(1, INT, s_v), Term(-1, INT, e_v)), LE, -2)))
-                    m.add(Implies((u,), Lin((Term(1, INT, l_v), Term(-1, INT, r_v)), LE, -2)))
+                    m.add(Implies((u,), _diff(s_v, e_v, LE, -2)))
+                    m.add(Implies((u,), _diff(l_v, r_v, LE, -2)))
 
     # -- precondition/effect constraint families ------------------------------
 
@@ -336,7 +286,7 @@ class Encoder:
                                 )
                             )
                         if spec.fluent not in shape.domain.goal:
-                            self.tail(Implies((u,), Lin((Term(1, INT, r_v),), LE, n)))
+                            self.tail(Implies((u,), _var(r_v, LE, n)))
                         for t in self._stages(1, n + 1, k):
                             m.add(
                                 Clause(
@@ -385,46 +335,11 @@ class Encoder:
                 u = Lit(self.use_id[(ai, k)])
                 for comp in comp_ids:
                     m.add(Clause((u.negate(), Lit(self.use_id[(comp, k)]))))
-                m.add(
-                    Implies(
-                        (u,),
-                        Lin(
-                            (
-                                Term(1, INT, self.left_id[(comp_ids[0], k)]),
-                                Term(-1, INT, self.left_id[(ai, k)]),
-                            ),
-                            EQ,
-                            0,
-                        ),
-                    )
-                )
-                m.add(
-                    Implies(
-                        (u,),
-                        Lin(
-                            (
-                                Term(1, INT, self.right_id[(comp_ids[-1], k)]),
-                                Term(-1, INT, self.right_id[(ai, k)]),
-                            ),
-                            EQ,
-                            0,
-                        ),
-                    )
-                )
+                left, right = self.left_id, self.right_id
+                m.add(Implies((u,), _diff(left[(comp_ids[0], k)], left[(ai, k)], EQ, 0)))
+                m.add(Implies((u,), _diff(right[(comp_ids[-1], k)], right[(ai, k)], EQ, 0)))
                 for first, second in zip(comp_ids, comp_ids[1:]):
-                    m.add(
-                        Implies(
-                            (u,),
-                            Lin(
-                                (
-                                    Term(1, INT, self.right_id[(first, k)]),
-                                    Term(-1, INT, self.left_id[(second, k)]),
-                                ),
-                                EQ,
-                                0,
-                            ),
-                        )
-                    )
+                    m.add(Implies((u,), _diff(right[(first, k)], left[(second, k)], EQ, 0)))
         for (name, actor), parent_ai in sorted(component_parents.items()):
             comp_ai = shape.action_index(name, actor)
             for k in new_copies:
@@ -457,37 +372,13 @@ class Encoder:
                     for t in self._stages(1, n + 1, k):
                         guard = (u, Cmp(l_v, EQ, t))
                         m.add(Implies(guard, Clause((self._flow(rho, t, 0, 1),))))
-                        m.add(
-                            Implies(
-                                guard,
-                                Lin(
-                                    (
-                                        Term(1, INT, self.split_id[(rho, t)]),
-                                        Term(-1, INT, self.boundary_id[t - 1]),
-                                    ),
-                                    EQ,
-                                    1,
-                                ),
-                            )
-                        )
+                        s = self.split_id[(rho, t)]
+                        m.add(Implies(guard, _diff(s, self.boundary_id[t - 1], EQ, 1)))
                     for t_end in self._stages(2, n + 2, k, shift=-1):
                         guard = (u, Cmp(r_v, EQ, t_end))
-                        m.add(
-                            Implies(guard, Clause((self._flow(rho, t_end - 1, 1, 0),)))
-                        )
-                        m.add(
-                            Implies(
-                                guard,
-                                Lin(
-                                    (
-                                        Term(1, INT, self.split_id[(rho, t_end - 1)]),
-                                        Term(-1, INT, self.boundary_id[t_end - 1]),
-                                    ),
-                                    EQ,
-                                    -1,
-                                ),
-                            )
-                        )
+                        m.add(Implies(guard, Clause((self._flow(rho, t_end - 1, 1, 0),))))
+                        s = self.split_id[(rho, t_end - 1)]
+                        m.add(Implies(guard, _diff(s, self.boundary_id[t_end - 1], EQ, -1)))
                     for t in self._stages(2, n, k, shift=1):
                         m.add(
                             Clause(
@@ -521,6 +412,7 @@ class Encoder:
                         fall_lits.append(self.contains_lit(ai, k, t))
                 self.set_add(Clause(tuple(fall_lits)))
 
+        split = self.split_id
         for first, second in sorted(domain.interference):
             for t in self._stages(1, n + 1):
                 for v in (0, 1):
@@ -543,19 +435,8 @@ class Encoder:
                                 )
                             )
                 for riser, faller in ((first, second), (second, first)):
-                    m.add(
-                        Implies(
-                            (self._flow(riser, t, 0, 1), self._flow(faller, t, 1, 0)),
-                            Lin(
-                                (
-                                    Term(1, INT, self.split_id[(faller, t)]),
-                                    Term(-1, INT, self.split_id[(riser, t)]),
-                                ),
-                                LE,
-                                0,
-                            ),
-                        )
-                    )
+                    guard = (self._flow(riser, t, 0, 1), self._flow(faller, t, 1, 0))
+                    m.add(Implies(guard, _diff(split[(faller, t)], split[(riser, t)], LE, 0)))
 
     def emit_implied_cuts(self) -> None:
         """Redundant rows that never change satisfiability but let bound
@@ -600,8 +481,8 @@ class Encoder:
                 l_b, r_b = self.left_id[(bi, 1)], self.right_id[(bi, 1)]
                 s_b, e_b = self.start_id[(bi, 1)], self.end_id[(bi, 1)]
                 add(Clause((u.negate(), Lit(self.use_id[(bi, 1)]))))
-                add(Implies((u,), Lin((Term(1, INT, l_b), Term(-1, INT, l_a)), LE, -1)))
-                add(Implies((u,), Lin((Term(1, INT, s_b), Term(-1, INT, s_a)), LE, -2)))
+                add(Implies((u,), _diff(l_b, l_a, LE, -1)))
+                add(Implies((u,), _diff(s_b, s_a, LE, -2)))
                 window = (
                     roles.get(spec.fluent) is FluentRole.RESOURCE
                     and spec.fluent
@@ -614,13 +495,13 @@ class Encoder:
                 if not window:
                     continue
                 if spec.rel is ConstraintRel.CONTAINS:
-                    add(Implies((u,), Lin((Term(1, INT, r_a), Term(-1, INT, r_b)), LE, -1)))
-                    add(Implies((u,), Lin((Term(1, INT, e_a), Term(-1, INT, e_b)), LE, -2)))
+                    add(Implies((u,), _diff(r_a, r_b, LE, -1)))
+                    add(Implies((u,), _diff(e_a, e_b, LE, -2)))
                 else:  # the provider's window must fall strictly inside the span
-                    add(Implies((u,), Lin((Term(1, INT, r_b), Term(-1, INT, r_a)), LE, 0)))
-                    add(Implies((u,), Lin((Term(1, INT, l_a), Term(-1, INT, r_b)), LE, -1)))
-                    add(Implies((u,), Lin((Term(1, INT, e_b), Term(-1, INT, e_a)), LE, 0)))
-                    add(Implies((u,), Lin((Term(1, INT, s_a), Term(-1, INT, e_b)), LE, -2)))
+                    add(Implies((u,), _diff(r_b, r_a, LE, 0)))
+                    add(Implies((u,), _diff(l_a, r_b, LE, -1)))
+                    add(Implies((u,), _diff(e_b, e_a, LE, 0)))
+                    add(Implies((u,), _diff(s_a, e_b, LE, -2)))
 
     # -- objective -----------------------------------------------------------
 
@@ -646,19 +527,8 @@ class Encoder:
             m.int_decls[span] = ("makespan", 0, shape.horizon)
             for ai in self._skill_ais:
                 for k in range(self.k0, shape.copy_cap + 1):
-                    m.add(
-                        Implies(
-                            (Lit(self.use_id[(ai, k)]),),
-                            Lin(
-                                (
-                                    Term(1, INT, self.end_id[(ai, k)]),
-                                    Term(-1, INT, span),
-                                ),
-                                LE,
-                                0,
-                            ),
-                        )
-                    )
+                    u = Lit(self.use_id[(ai, k)])
+                    m.add(Implies((u,), _diff(self.end_id[(ai, k)], span, LE, 0)))
             m.minimize((Term(1, INT, span),))
             return
         raise ValueError(f"unknown objective kind {kind!r}; use one of {OBJECTIVE_KINDS}")
@@ -755,6 +625,4 @@ class Encoder:
 def encode(shape: TheoryShape, objective: str = "none") -> CspModel:
     """Pure function of (shape, objective): the model of one stage count,
     every row in place and every variable numbered as the shape numbers it."""
-    model = Encoder(objective).advance(shape, inline=True)[0]
-    model.check_well_formed()
-    return model
+    return Encoder(objective).advance(shape, inline=True)[0]

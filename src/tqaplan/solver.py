@@ -22,10 +22,12 @@ Propagation runs rows from two queues.  A bound change wakes the rows
 that watch its variable into a FIFO queue, which runs oldest first; the
 root sweep (every row, in the order ``load`` was given) is consumed only
 while no woken row waits, so a bound found at the root reaches its
-neighbours before the sweep goes on.  A row waiting in either queue is not
-queued again.  A row found entailed sleeps on the trail: nothing wakes it
-until search undoes the trail below the point where it fell asleep.  The
-fixpoint, and so every node count, does not depend on this order.
+neighbours before the sweep goes on.  A row waiting in either queue, or
+running, is not queued again; a row that changed a bound and is not yet
+entailed goes back to the queue once it has run.  A row found entailed
+sleeps on the trail: nothing wakes it or runs it until search undoes the
+trail below the point where it fell asleep.  The fixpoint, and so every
+node count, does not depend on this order.
 
 Branching is static and reads no variable names: first the Booleans, those
 watched by the most rows first (ties in id order), then the integers in
@@ -184,8 +186,8 @@ class Engine:
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
-    row ``idx`` waits in either, or sleeps: ``sleepers`` holds
-    ``(trail length, row)`` for each entailed row, released by
+    row ``idx`` waits in either, runs, or sleeps: ``sleepers`` holds
+    ``(trail length, row)`` once for each entailed row, released by
     :meth:`_undo_to` once the trail is cut below that length.
     """
 
@@ -199,7 +201,7 @@ class Engine:
         self.n_stable = 0
         self.tail_uids: list[int] = []  # uids watched by rows past the stable ones
         self.trail: list[tuple[int, bool, int]] = []
-        self.queued: list[bool] = []  # waiting in a queue, or asleep
+        self.queued: list[bool] = []  # waiting in a queue, running, or asleep
         self.queue: deque[int] = deque()  # woken rows, oldest first
         self.pending: list[int] = []  # the root sweep, from its end
         self.sleepers: list[tuple[int, int]] = []  # (trail length, row)
@@ -447,17 +449,23 @@ class Engine:
                 idx = pending.pop()
             else:
                 break
-            queued[idx] = False
+            # still marked queued while it runs, so its own bound changes do
+            # not wake it; it goes back to the queue only if it may force more
+            mark = len(trail)
             done = True
             for lits, body in cons[idx]:
                 if not self._prop_clause(lits, body):
                     if self.conflict:
                         break
                     done = False
-            if done and not self.conflict:
-                # marked queued, an entailed row sleeps until _undo_to
-                queued[idx] = True
+            if self.conflict:
+                queued[idx] = False
+            elif done:  # marked queued, an entailed row sleeps until _undo_to
                 sleepers.append((len(trail), idx))
+            elif len(trail) > mark:
+                queue.append(idx)
+            else:
+                queued[idx] = False
         if self.conflict:
             for idx in itertools.chain(queue, pending):
                 queued[idx] = False

@@ -25,6 +25,7 @@ from tqaplan.cpmodel import (
     export_model,
     parse_model,
 )
+from tqaplan.solver import brute_force_solve, solve
 
 
 def sample_model() -> CspModel:
@@ -73,10 +74,39 @@ def test_well_formedness_checks():
     m.add(Clause((Lit(7),)))
     with pytest.raises(ModelFormatError):
         m.check_well_formed()
-    with pytest.raises(ValueError):
-        CspModel().new_int("x", 3, 1)
-    with pytest.raises(ValueError):
-        CspModel().new_bool("has space")
+    # building checks nothing: the checker rejects an empty domain and the
+    # writer a name that is not one whitespace-free token
+    empty = CspModel()
+    empty.new_int("x", 3, 1)
+    with pytest.raises(ModelFormatError):
+        empty.check_well_formed()
+    spaced = CspModel()
+    spaced.new_bool("has space")
+    with pytest.raises(ModelFormatError):
+        export_model(spaced)
+
+
+@pytest.mark.parametrize("name", ["x\nclause 0", "has space", ""])
+def test_export_rejects_a_name_that_is_not_one_token(name):
+    # "x\nclause 0" would read back as a bool x plus an empty clause
+    with pytest.raises(ModelFormatError):
+        export_model(CspModel(bool_names=[name]))
+    with pytest.raises(ModelFormatError):
+        export_model(CspModel(int_decls=[(name, 0, 1)]))
+
+
+def test_an_empty_domain_is_rejected_by_every_consumer():
+    m = CspModel(int_decls=[("x", 3, 1)])
+    for consume in (
+        lambda m: solve(m, time_budget=5),
+        brute_force_solve,
+        export_model,
+        lambda _: parse_model("cspmodel 1\nint 3 1 x\n"),
+    ):
+        with pytest.raises(ModelFormatError, match="empty domain"):
+            consume(m)
+    m.int_decls[0] = ("x", 3, 3)  # assignment is not construction-checked either
+    assert solve(m, time_budget=5).assignment.ints == (3,)
 
 
 HEADER = "cspmodel 1\nbool b0\nbool b1\nint 0 3 x\n"

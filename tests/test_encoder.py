@@ -15,7 +15,6 @@ from tqaplan.cpmodel import (
     EQ,
     INT,
     Clause,
-    CspModel,
     IffConj,
     Implies,
     Lin,
@@ -35,7 +34,7 @@ from tqaplan.domain import (
     parse_domain,
 )
 from tqaplan.encoder import Encoder, encode
-from tqaplan.solver import GuardExceededError, solve
+from tqaplan.solver import GuardExceededError, constraint_holds, solve
 from tqaplan.theory import default_horizon, instantiate
 from tqaplan.validator import enumerate_models
 
@@ -61,29 +60,17 @@ def forced_true(domain, n, pins_b=(), pins_i=(), query=None, horizon=None, cap=1
     return solve(model, time_budget=60).is_unsat
 
 
-def test_flow_init_goal_rows_force_steady_truth():
-    # independent four-variable enumeration of the stage-1 rows for a fluent
-    # that is both an initial condition and a goal, at one stage
-    m = CspModel()
-    flows = {vw: m.new_bool(f"f{vw}") for vw in ("00", "01", "10", "11")}
-    m.add(Lin((Term(1, BOOL, flows["10"]), Term(1, BOOL, flows["11"])), EQ, 1))
-    m.add(Clause((Lit(flows["00"], False),)))
-    m.add(Clause((Lit(flows["01"], False),)))
-    m.add(Lin((Term(1, BOOL, flows["01"]), Term(1, BOOL, flows["11"])), EQ, 1))
-    solutions = [
-        bits
-        for bits in itertools.product((False, True), repeat=4)
-        if all(
-            (
-                (bits[2] + bits[3]) == 1,
-                not bits[0],
-                not bits[1],
-                (bits[1] + bits[3]) == 1,
-            )
-        )
-    ]
-    assert solutions == [(False, False, False, True)]  # only steady-true survives
+def _over_only(con, bools):
+    """True for a clause or linear row that mentions only ``bools``."""
+    if isinstance(con, Clause):
+        return {lit.var for lit in con.lits} <= bools
+    return isinstance(con, Lin) and all(t.space == BOOL and t.var in bools for t in con.terms)
 
+
+def test_flow_init_goal_rows_force_steady_truth():
+    # the encoder's own rows over the four stage-1 flows of a fluent that is
+    # both an initial condition and a goal, at one stage: enumerating the
+    # flows against them leaves only steady truth
     d = Domain(
         (Fluent("p"),),
         (Skill("a", SkillKind.DELAY, 2),),
@@ -91,9 +78,25 @@ def test_flow_init_goal_rows_force_steady_truth():
         goal=frozenset({"p"}),
     )
     shape = instantiate(d, 1)
-    res = solve(encode(shape), time_budget=30)
+    enc = Encoder()
+    model = enc.advance(shape, inline=True)[0]
+    tags = ((0, 0), (0, 1), (1, 0), (1, 1))
+    flows = [enc.flow_id[("p", 1, v, w)] for v, w in tags]
+    rows = [model.constraints[i] for i in enc._family_rows[0]]  # the flow family
+    rows = [con for con in rows if _over_only(con, set(flows))]
+    assert len(rows) == 4  # the initial pair, the two zero flows, the goal pair
+    bools = [False] * model.n_bools
+    solutions = []
+    for bits in itertools.product((False, True), repeat=4):
+        for var, bit in zip(flows, bits):
+            bools[var] = bit
+        if all(constraint_holds(con, bools, ()) for con in rows):
+            solutions.append(dict(zip(tags, bits)))
+    assert solutions == [{(0, 0): False, (0, 1): False, (1, 0): False, (1, 1): True}]
+
+    res = solve(model, time_budget=30)
     assert res.is_sat
-    assert res.assignment.bools[shape.flow_id[("p", 1, 1, 1)]]
+    assert res.assignment.bools[enc.flow_id[("p", 1, 1, 1)]]
 
 
 def test_no_fluents_no_flow_rows():

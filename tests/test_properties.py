@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from randgen import random_small_model, random_tiny_domain
 from tqaplan.domain import parse_domain, serialize_domain
-from tqaplan.cpmodel import export_model, parse_model
+from tqaplan.cpmodel import ModelFormatError, export_model, parse_model
 from tqaplan.encoder import encode
 from tqaplan.intervals import History, Interval, Tqa, check_tqa
 from tqaplan.search import SearchLimits, find_plan
-from tqaplan.solver import solve
+from tqaplan.solver import brute_force_solve, solve
 from tqaplan.theory import ground_actions, instantiate
 from tqaplan.validator import validate_plan
 
@@ -106,3 +108,46 @@ def test_encoded_model_survives_its_text_form():
     second = solve(again, time_budget=30)
     assert first.is_sat and second.is_sat
     assert first.objective == second.objective
+
+
+# variable names that may be empty or hold whitespace, line breaks included
+_names = st.text(st.sampled_from("xy_[,]0 \t\n\r\x0b\x1c\u2028"), max_size=4)
+
+
+@st.composite
+def _redrawn_models(draw):
+    """A random small model with a few names and domains redrawn, empty
+    names, whitespace and empty domains among them."""
+    m = random_small_model(random.Random(draw(st.integers(0, 2**32 - 1))))
+    for i in draw(st.sets(st.integers(0, m.n_bools - 1), max_size=2)):
+        m.bool_names[i] = draw(_names)
+    for j in draw(st.sets(st.integers(0, m.n_ints - 1), max_size=2)):
+        name, lo, hi = m.int_decls[j]
+        m.int_decls[j] = (draw(st.one_of(st.just(name), _names)), lo, draw(st.integers(lo - 2, hi)))
+    return m
+
+
+def _outcome(run, m):
+    try:
+        res = run(m)
+    except Exception as exc:  # which error, not where it was raised
+        return type(exc)
+    return res
+
+
+@settings(max_examples=150, deadline=None)
+@given(_redrawn_models())
+def test_written_models_read_back_as_themselves(m):
+    text = _outcome(export_model, m)
+    assert text is ModelFormatError or parse_model(text) == m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_redrawn_models())
+def test_solver_and_enumerator_reject_and_decide_alike(m):
+    res = _outcome(lambda m: solve(m, node_budget=20_000), m)
+    ref = _outcome(brute_force_solve, m)
+    if isinstance(ref, type):
+        assert res is ref
+    else:
+        assert (res.status, res.objective) == (ref.status, ref.objective)

@@ -385,3 +385,52 @@ def test_objective_integers_are_branched_last(objective_first):
     res = solve(m)
     assert (res.objective, res.nodes) == (0, 5)
     assert (res.assignment.ints[x], res.assignment.ints[y]) == (3, 0)
+
+
+class _RowReads(list):
+    """The engine's row list, recording every row propagation runs."""
+
+    def __getitem__(self, idx):
+        self.ran.append(idx)
+        return super().__getitem__(idx)
+
+
+class _AuditedEngine(Engine):
+    """After every propagation, at the root and at every node, conflicts
+    included: a row is marked queued exactly when it sleeps, it sleeps once,
+    and no row that slept when propagation began has run."""
+
+    def __init__(self, model):
+        super().__init__()
+        self.cons = _RowReads()
+        self.load(model, len(model.constraints))
+
+    def propagate(self):
+        asleep_before = {idx for _, idx in self.sleepers}
+        self.cons.ran = []
+        ok = super().propagate()
+        asleep = [idx for _, idx in self.sleepers]
+        assert not self.queue and not self.pending
+        assert len(set(asleep)) == len(asleep)
+        assert [i for i, q in enumerate(self.queued) if q] == sorted(asleep)
+        assert not asleep_before & set(self.cons.ran)
+        return ok
+
+
+def test_a_row_that_forces_its_own_variable_runs_once_and_sleeps_once():
+    m = CspModel(bool_names=["x"], constraints=[Clause((Lit(0),))])
+    engine = _AuditedEngine(m)
+    assert engine.propagate()
+    assert engine.cons.ran == [0] and engine.sleepers == [(1, 0)]
+
+
+def test_rows_sleep_once_and_never_run_asleep():
+    rng = random.Random(5)
+    models = [random_small_model(rng) for _ in range(150)]
+    models.append(encode(instantiate(gen_cushing(GadgetSpec("II", 1, 2)), 9, 2, 22)))
+    statuses = set()
+    for m in models:
+        res, plain = solve(m, _AuditedEngine(m)), solve(m)
+        assert (res.status, res.nodes, res.objective) == (plain.status, plain.nodes, plain.objective)
+        statuses.add(res.status)
+    assert statuses == {"sat", "unsat"}
