@@ -9,14 +9,16 @@ integers).  Every atom becomes bound literals of one form, ``x >= k`` or
 ``x <= k``: ``x == k`` is the pair of both, a Boolean literal is ``b >= 1``
 or ``b <= 0``, and negation is exact (not ``x >= k`` is ``x <= k - 1``).
 A clause is bound literals and a body, which is either nothing or a linear
-row that acts as the clause's last disjunct.  A clause row is one clause;
-a guarded row ``g1 and ... and gn -> body`` is the clause ``(not g1 or ...
-or not gn or body)``; a reified conjunction ``lit <-> a1 and ... and an``
-is the clause ``(not a1 or ... or not an or lit)`` plus the binary clauses
-``(not lit or ai)``, kept in one row; and a linear row, an exactly-one
-among them, is a clause with no literals and the row as its body.  One
-propagator runs every clause.  A model that grows keeps its compiled rows:
-only new rows and a per-model tail are compiled.
+row that acts as the clause's last disjunct (an equality ``sum = k`` is
+the two halves ``sum <= k`` and ``-sum <= -k``).  A clause row is one
+clause; a guarded row ``g1 and ... and gn -> body`` is the clause ``(not
+g1 or ... or not gn or body)``; a reified conjunction ``lit <-> a1 and ...
+and an`` is the clause ``(not a1 or ... or not an or lit)`` plus the
+binary clauses ``(not lit or ai)``, kept in one row; and a linear row, an
+exactly-one among them, is a clause with no literals and the row as its
+body.  One propagator runs every clause, and ``_force`` tightens every
+bound.  A model that grows keeps its compiled rows: only new rows and a
+per-model tail are compiled.
 
 Propagation runs rows from two queues.  A bound change wakes the rows
 that watch its variable into a FIFO queue, which runs oldest first; the
@@ -57,8 +59,6 @@ from .cpmodel import (
     Lin,
     Lit,
     Term,
-    export_model,
-    parse_model,
 )
 
 __all__ = [
@@ -68,9 +68,7 @@ __all__ = [
     "SolveResult",
     "brute_force_solve",
     "check_assignment",
-    "export_model",
     "objective_value",
-    "parse_model",
     "solve",
 ]
 
@@ -180,9 +178,10 @@ class Engine:
     and the rest form a tail that replaces the previous one.  A bound
     literal is ``(uid, ge, k)``: ``x >= k`` when ``ge``, else ``x <= k``.
     A row is a tuple of clauses ``(lits, body)``: the bound literals
-    ``lits``, or ``body`` when it is not None, a linear body
-    ``(eq, terms, neg, const)`` meaning ``sum(c * x) <= const`` (``=``
-    when ``eq``; ``neg`` holds the negated terms of an equality).
+    ``lits``, or ``body`` when it is not None, a linear body: the halves
+    ``(terms, const)``, each ``sum(c * x) <= const``, one for ``<=`` and
+    two for ``=``.  Only :meth:`_force` tightens a bound and pushes a trail
+    entry ``(uid, ge, old bound)``.
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
@@ -306,59 +305,53 @@ class Engine:
             clause = guard + tuple(self._literals(con.lits))
             self._register(((clause, None),), [u for u, _, _ in clause])
             return
-        # a linear row, guarded or not, is the body of that clause
+        # a linear row, guarded or not, is the body of that clause: sum <= k,
+        # or for an equality sum = k the pair of halves sum <= k, -sum <= -k
         bool_uid, int_uid = self.bool_uid, self.int_uid
         terms = tuple(
             (t.coef, bool_uid[t.var] if t.space == BOOL else int_uid[t.var]) for t in con.terms
         )
-        eq = con.op == EQ
-        neg = tuple((-c, u) for c, u in terms) if eq else None
+        body = ((terms, con.const),)
+        if con.op == EQ:
+            body += ((tuple((-c, u) for c, u in terms), -con.const),)
         uids = [u for u, _, _ in guard] + [u for _, u in terms]
-        self._register(((guard, (eq, terms, neg, con.const)),), uids)
+        self._register(((guard, body),), uids)
 
     # -- domain updates -------------------------------------------------------
 
-    def _set_lo(self, uid: int, val: int) -> None:
-        if val <= self.lo[uid]:
-            return
-        if val > self.hi[uid]:
-            self.conflict = True
-            return
-        self.trail.append((uid, True, self.lo[uid]))
-        self.lo[uid] = val
-        queued, queue = self.queued, self.queue
-        for idx in self.watchers[uid]:
-            if not queued[idx]:
-                queued[idx] = True
-                queue.append(idx)
-
-    def _set_hi(self, uid: int, val: int) -> None:
-        if val >= self.hi[uid]:
-            return
-        if val < self.lo[uid]:
-            self.conflict = True
-            return
-        self.trail.append((uid, False, self.hi[uid]))
-        self.hi[uid] = val
-        queued, queue = self.queued, self.queue
-        for idx in self.watchers[uid]:
-            if not queued[idx]:
-                queued[idx] = True
-                queue.append(idx)
-
-    def _force(self, lit) -> None:
-        uid, ge, k = lit
+    def _force(self, uid: int, ge: bool, k: int) -> None:
+        """Tighten ``x >= k`` when ``ge``, else ``x <= k``: the one place a
+        bound changes.  The old bound goes on the trail and the rows that
+        watch ``x`` wake; a bound past the other one is a conflict."""
+        lo, hi = self.lo, self.hi
         if ge:
-            self._set_lo(uid, k)
+            if k <= lo[uid]:
+                return
+            if k > hi[uid]:
+                self.conflict = True
+                return
+            self.trail.append((uid, True, lo[uid]))
+            lo[uid] = k
         else:
-            self._set_hi(uid, k)
+            if k >= hi[uid]:
+                return
+            if k < lo[uid]:
+                self.conflict = True
+                return
+            self.trail.append((uid, False, hi[uid]))
+            hi[uid] = k
+        queued, queue = self.queued, self.queue
+        for idx in self.watchers[uid]:
+            if not queued[idx]:
+                queued[idx] = True
+                queue.append(idx)
 
     # -- constraint propagation -------------------------------------------------
 
     def _prop_clause(self, lits, body) -> bool:
         """Propagate the clause ``lits or body``, where ``body`` is None or
-        a linear body ``(eq, terms, neg, const)``.  True when the clause
-        holds under current bounds, so the row may sleep on the trail."""
+        a tuple of halves ``(terms, const)``.  True when the clause holds
+        under current bounds, so the row may sleep on the trail."""
         lo, hi = self.lo, self.hi
         unknown = None
         for lit in lits:
@@ -376,68 +369,65 @@ class Engine:
             if unknown is not None:
                 return False
             unknown = lit
-        if body is None:
+        if body is not None:
             if unknown is None:
-                self.conflict = True
+                return self._prop_lin_le(body)
+            for terms, const in body:
+                if self._lin_min(terms) > const:
+                    break
+            else:  # no half is refuted, so the body may still hold
                 return False
-            self._force(unknown)
-            return True
-        eq, terms, neg, const = body
-        if unknown is None:
-            done = self._prop_lin_le(terms, const)
-            if eq and not self.conflict:
-                done = self._prop_lin_le(neg, -const) and done
-            return done
-        if self._lin_refuted(eq, terms, const):
-            self._force(unknown)
-            return True
-        return False
-
-    def _prop_lin_le(self, terms, const) -> bool:
-        """True when entailed under current bounds, so the row may sleep on
-        the trail."""
-        lo, hi = self.lo, self.hi
-        mn = mx = 0
-        for coef, uid in terms:
-            if coef > 0:
-                mn += coef * lo[uid]
-                mx += coef * hi[uid]
-            else:
-                mn += coef * hi[uid]
-                mx += coef * lo[uid]
-        if mx <= const:
-            return True
-        if mn > const:
+        elif unknown is None:
             self.conflict = True
             return False
-        slack = const - mn
-        for coef, uid in terms:
-            if coef > 0:
-                limit = lo[uid] + slack // coef
-                if limit < hi[uid]:
-                    self._set_hi(uid, limit)
-                    if self.conflict:
-                        return False
-            else:
-                limit = hi[uid] - slack // (-coef)
-                if limit > lo[uid]:
-                    self._set_lo(uid, limit)
-                    if self.conflict:
-                        return False
-        return False
+        # every other disjunct is false: the one open literal must hold
+        self._force(*unknown)
+        return True
 
-    def _lin_refuted(self, eq, terms, const) -> bool:
-        """True when no assignment within current bounds meets the body."""
+    def _prop_lin_le(self, body) -> bool:
+        """Tighten bounds so that every half ``sum(c * x) <= const`` of
+        ``body`` can hold.  True when all are entailed under current bounds,
+        so the row may sleep on the trail."""
         lo, hi = self.lo, self.hi
-        mn = mx = 0
+        done = True
+        for terms, const in body:
+            mn = mx = 0
+            for coef, uid in terms:
+                if coef > 0:
+                    mn += coef * lo[uid]
+                    mx += coef * hi[uid]
+                else:
+                    mn += coef * hi[uid]
+                    mx += coef * lo[uid]
+            if mx <= const:
+                continue
+            if mn > const:
+                self.conflict = True
+                return False
+            done = False
+            slack = const - mn
+            for coef, uid in terms:
+                if coef > 0:
+                    limit = lo[uid] + slack // coef
+                    if limit < hi[uid]:
+                        self._force(uid, False, limit)
+                        if self.conflict:
+                            return False
+                else:
+                    limit = hi[uid] - slack // (-coef)
+                    if limit > lo[uid]:
+                        self._force(uid, True, limit)
+                        if self.conflict:
+                            return False
+        return done
+
+    def _lin_min(self, terms) -> int:
+        """The least value of ``sum(c * x)`` within current bounds."""
+        lo, hi = self.lo, self.hi
+        mn = 0
         for coef, uid in terms:
-            if coef > 0:
-                mn += coef * lo[uid]
-                mx += coef * hi[uid]
-            else:
-                mn += coef * hi[uid]
-                mx += coef * lo[uid]
-        return mn > const or (eq and mx < const)
+            mn += coef * (lo[uid] if coef > 0 else hi[uid])
+        return mn
 
     def propagate(self) -> bool:
         queue, pending, queued, cons = self.queue, self.pending, self.queued, self.cons
@@ -497,11 +487,6 @@ class Engine:
             i += 1
         return i
 
-    def _children(self, uid: int):
-        lo, hi = self.lo[uid], self.hi[uid]
-        mid = (lo + hi) // 2
-        return ((lo, mid), (mid + 1, hi))
-
     def search(self, deadline: float, node_budget: int):
         """``(status, x)``: x is the assignment when SAT, the budget that
         ran out (``"node budget"`` or ``"time budget"``) at a limit, and
@@ -510,38 +495,36 @@ class Engine:
             return UNSAT, None
         if self.order is None:
             self.order = self._branch_order()
+        order, lo, hi = self.order, self.lo, self.hi
         stack: list[list] = []
-        pos = self._next_var(0)
-        if pos == len(self.order):
-            return SAT, self._extract()
-        stack.append([len(self.trail), pos, self.order[pos], None, 0])
-        while stack:
-            frame = stack[-1]
-            mark, pos, uid, windows, child = frame
-            if windows is None:
-                windows = self._children(uid)
-                frame[3] = windows
-            if child >= 2:
-                stack.pop()
-                continue
-            frame[4] = child + 1
-            self._undo_to(mark)
-            self.nodes += 1
-            if self.nodes > node_budget:
-                return LIMIT, "node budget"
-            if time.monotonic() > deadline:
-                return LIMIT, "time budget"
-            w_lo, w_hi = windows[child]
-            self._set_lo(uid, w_lo)
-            if not self.conflict:
-                self._set_hi(uid, w_hi)
-            if self.conflict or not self.propagate():
-                continue
-            nxt = self._next_var(pos)
-            if nxt == len(self.order):
+        pos = 0
+        while True:
+            # a consistent node: a solution, or a frame for the next open
+            # variable with its two windows, x <= mid first, then x > mid
+            pos = self._next_var(pos)
+            if pos == len(order):
                 return SAT, self._extract()
-            stack.append([len(self.trail), nxt, self.order[nxt], None, 0])
-        return UNSAT, None
+            uid = order[pos]
+            mid = (lo[uid] + hi[uid]) // 2
+            stack.append([len(self.trail), pos, ((uid, False, mid), (uid, True, mid + 1)), 0])
+            while True:  # down the next window that propagates
+                if not stack:
+                    return UNSAT, None
+                frame = stack[-1]
+                mark, pos, windows, child = frame
+                if child == 2:
+                    stack.pop()
+                    continue
+                frame[3] = child + 1
+                self._undo_to(mark)
+                self.nodes += 1
+                if self.nodes > node_budget:
+                    return LIMIT, "node budget"
+                if time.monotonic() > deadline:
+                    return LIMIT, "time budget"
+                self._force(*windows[child])
+                if self.propagate():
+                    break
 
     def _extract(self) -> Assignment:
         lo = self.lo
@@ -581,28 +564,20 @@ def solve(
     if engine is None:
         engine = Engine(m)
     deadline = time.monotonic() + time_budget
-    status, assignment = engine.search(deadline, node_budget)
-    if status == LIMIT:
-        return SolveResult(LIMIT, reason=assignment, nodes=engine.nodes)
-    if status == UNSAT:
-        return SolveResult(UNSAT, nodes=engine.nodes)
-    _assert_model_holds(m, assignment)
-    if m.objective is None:
-        return SolveResult(SAT, assignment, nodes=engine.nodes)
-
-    best = assignment
-    best_val = objective_value(m, assignment)
+    best = best_val = None
     while True:
+        status, x = engine.search(deadline, node_budget)
+        if status == LIMIT:
+            return SolveResult(LIMIT, best, best_val, reason=x, nodes=engine.nodes)
+        if status == UNSAT:
+            return SolveResult(UNSAT if best is None else SAT, best, best_val, nodes=engine.nodes)
+        _assert_model_holds(m, x)
+        if m.objective is None:
+            return SolveResult(SAT, x, nodes=engine.nodes)
+        # branch and bound: search again for a strictly better objective
+        best, best_val = x, objective_value(m, x)
         engine.reset()
         engine.add_bound(m.objective, best_val - 1)
-        status, assignment = engine.search(deadline, node_budget)
-        if status == UNSAT:
-            return SolveResult(SAT, best, best_val, nodes=engine.nodes)
-        if status == LIMIT:
-            return SolveResult(LIMIT, best, best_val, reason=assignment, nodes=engine.nodes)
-        _assert_model_holds(m, assignment)
-        best = assignment
-        best_val = objective_value(m, assignment)
 
 
 def _assert_model_holds(m: CspModel, a: Assignment) -> None:

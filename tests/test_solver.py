@@ -23,6 +23,7 @@ from tqaplan.cpmodel import (
     Implies,
     Lin,
     Lit,
+    ModelFormatError,
     Term,
 )
 from tqaplan.solver import (
@@ -30,6 +31,7 @@ from tqaplan.solver import (
     GuardExceededError,
     brute_force_solve,
     check_assignment,
+    objective_value,
     solve,
 )
 from tqaplan.encoder import encode
@@ -115,8 +117,30 @@ def test_budgets_that_are_not_positive_are_rejected(budgets):
 def test_malformed_model_rejected_before_search():
     m = CspModel()
     m.add(Clause((Lit(3),)))
-    with pytest.raises(Exception):
+    with pytest.raises(ModelFormatError, match="boolean id 3 out of range"):
         solve(m)
+
+
+def test_a_node_budget_spent_in_branch_and_bound_returns_the_best_so_far():
+    # minimize 2y - x subject to x + y >= 5: the first solution, x = 0 and
+    # y = 5, is far from the optimum x = 9, y = 0
+    m = CspModel()
+    x, y = m.new_int("x", 0, 9), m.new_int("y", 0, 9)
+    m.add(Lin((Term(-1, INT, x), Term(-1, INT, y)), LE, -5))
+    m.minimize((Term(-1, INT, x), Term(2, INT, y)))
+    first = Engine(m)
+    assert first.search(float("inf"), 10**9)[0] == "sat"
+    full = solve(m)
+    assert full.is_sat and full.objective == brute_force_solve(m).objective
+    objectives = []
+    for budget in range(first.nodes, full.nodes):
+        res = solve(m, node_budget=budget)
+        assert (res.status, res.reason) == ("limit", "node budget")
+        assert res.assignment is not None and check_assignment(m, res.assignment)
+        assert res.objective == objective_value(m, res.assignment) > full.objective
+        objectives.append(res.objective)
+    assert objectives == sorted(objectives, reverse=True)
+    assert len(set(objectives)) > 2
 
 
 def test_brute_force_guard():
