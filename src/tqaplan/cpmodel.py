@@ -2,6 +2,14 @@
 linear constraints with conjunctive guards and reified conjunctions, plus a
 canonical text form that round-trips exactly.
 
+Atoms, terms and rows are immutable tuples (``NamedTuple``), compared and
+hashed by value.  Equal pieces are interchangeable, so each producer builds
+one object per distinct atom or term and shares it: the encoder through its
+table, :func:`parse_model` through one memo per token role, and
+:func:`export_model` formats each distinct atom once.  Two well-formed rows
+of different kinds never compare equal: the kinds differ in arity or in
+the types of their fields, and comparisons and terms use disjoint codes.
+
 Building a model checks nothing; each rule lives in one place.  Every
 consumer runs :meth:`CspModel.check_well_formed` (domains, ids, ops);
 :func:`export_model` wants each name to be one whitespace-free token, and
@@ -12,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 BOOL = "b"
 INT = "i"
@@ -21,8 +29,7 @@ INT = "i"
 LE, GE, EQ = "le", "ge", "eq"
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     """Boolean variable pinned to a value."""
 
     var: int
@@ -35,8 +42,7 @@ class Lit:
         return f"{'+' if self.val else '-'}b{self.var}"
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(NamedTuple):
     """Integer comparison atom: ``var op k`` with op in le/ge/eq."""
 
     var: int
@@ -51,8 +57,7 @@ class Cmp:
 Atom = Union[Lit, Cmp]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One linear term ``coef * var`` where the variable may be Boolean (0/1)."""
 
     coef: int
@@ -63,13 +68,11 @@ class Term:
         return f"{self.coef}*{self.space}{self.var}"
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     lits: tuple[Lit, ...]
 
 
-@dataclass(frozen=True)
-class Lin:
+class Lin(NamedTuple):
     """``sum(terms) op const`` with op in le/eq."""
 
     terms: tuple[Term, ...]
@@ -77,16 +80,14 @@ class Lin:
     const: int
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(NamedTuple):
     """Conjunctive guard implies a clause or a linear constraint."""
 
     guard: tuple[Atom, ...]
     body: Union[Clause, Lin]
 
 
-@dataclass(frozen=True)
-class IffConj:
+class IffConj(NamedTuple):
     """Boolean literal reified to a conjunction of atoms."""
 
     lit: Lit
@@ -98,6 +99,21 @@ Constraint = Union[Clause, Lin, Implies, IffConj]
 
 class ModelFormatError(ValueError):
     pass
+
+
+class Memo(dict):
+    """Each distinct key's value, computed once by ``read`` on first use;
+    a repeated key costs one lookup and returns the same object."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, key):
+        self[key] = value = self.read(key)
+        return value
 
 
 _CMP_OPS = (LE, GE, EQ)
@@ -198,39 +214,39 @@ class CspModel:
 # -- canonical text form ---------------------------------------------------
 
 
-def _body_tokens(body: Union[Clause, Lin]) -> list[str]:
-    if isinstance(body, Clause):
-        return ["clause", str(len(body.lits))] + [lit.token() for lit in body.lits]
-    toks = ["lin", body.op, str(body.const), str(len(body.terms))]
-    toks += [t.token() for t in body.terms]
-    return toks
-
-
 def export_model(m: CspModel) -> str:
     """Serialize to the canonical line format; equal models export to
-    byte-identical text.  Each name must be one whitespace-free token."""
+    byte-identical text.  Each name must be one whitespace-free token.
+    Each distinct atom or term is formatted once."""
     m.check_well_formed()
     for name in itertools.chain(m.bool_names, (decl[0] for decl in m.int_decls)):
         if not _is_name(name):
             raise ModelFormatError(f"variable name {name!r} is not one whitespace-free token")
+    # each distinct atom or term's token once, with the space before it; a
+    # well-formed model's literals, comparisons and terms never compare
+    # equal across kinds (arity, and the disjoint op and space codes)
+    spaced = Memo(lambda atom: " " + atom.token()).__getitem__
+    join = "".join
+
+    def body(con: Union[Clause, Lin]) -> str:
+        if isinstance(con, Clause):
+            return f"clause {len(con.lits)}{join(map(spaced, con.lits))}"
+        return f"lin {con.op} {con.const} {len(con.terms)}{join(map(spaced, con.terms))}"
+
     lines = ["cspmodel 1"]
-    for name in m.bool_names:
-        lines.append(f"bool {name}")
-    for name, lo, hi in m.int_decls:
-        lines.append(f"int {lo} {hi} {name}")
+    lines += [f"bool {name}" for name in m.bool_names]
+    lines += [f"int {lo} {hi} {name}" for name, lo, hi in m.int_decls]
     for con in m.constraints:
-        if isinstance(con, (Clause, Lin)):
-            lines.append(" ".join(_body_tokens(con)))
-        elif isinstance(con, Implies):
-            toks = ["imp", str(len(con.guard))] + [a.token() for a in con.guard]
-            lines.append(" ".join(toks + _body_tokens(con.body)))
+        if isinstance(con, Implies):
+            guard = con.guard
+            lines.append(f"imp {len(guard)}{join(map(spaced, guard))} {body(con.body)}")
         elif isinstance(con, IffConj):
-            toks = ["iff", con.lit.token(), str(len(con.atoms))]
-            lines.append(" ".join(toks + [a.token() for a in con.atoms]))
+            atoms = con.atoms
+            lines.append(f"iff{spaced(con.lit)} {len(atoms)}{join(map(spaced, atoms))}")
+        else:
+            lines.append(body(con))
     if m.objective is not None:
-        lines.append(
-            " ".join(["minimize", str(len(m.objective))] + [t.token() for t in m.objective])
-        )
+        lines.append(f"minimize {len(m.objective)}{join(map(spaced, m.objective))}")
     return "\n".join(lines) + "\n"
 
 
@@ -239,101 +255,126 @@ _LIT_TOKEN = re.compile(r"([+-])b(-?[0-9]+)")
 _CMP_TOKEN = re.compile(r"i(-?[0-9]+)(<=|>=|==)(-?[0-9]+)")
 _TERM_TOKEN = re.compile(r"(-?[0-9]+)\*([bi])(-?[0-9]+)")
 _CMP_SYMBOLS = {"<=": LE, ">=": GE, "==": EQ}
+_SHARED_LIN_OPS = {op: op for op in _LIN_OPS}  # every row read shares these strings
 
 
-def _int(token: str) -> int:
+def _read_int(token: str) -> int:
     if not _INTEGER.fullmatch(token):
         raise ModelFormatError(f"expected an integer, got {token!r}")
     return int(token)
 
 
-def _parse_lit(token: str) -> Lit:
+def _read_count(token: str) -> int:
+    """A declared item count, or -1 for a token that is not one."""
+    return int(token) if token.isascii() and token.isdigit() else -1
+
+
+def _read_lit(token: str) -> Lit:
     lit = _LIT_TOKEN.fullmatch(token)
     if lit is None:
         raise ModelFormatError(f"expected a boolean literal, got {token!r}")
     return Lit(int(lit[2]), lit[1] == "+")
 
 
-def _parse_atom(token: str) -> Atom:
-    lit = _LIT_TOKEN.fullmatch(token)
-    if lit is not None:
-        return Lit(int(lit[2]), lit[1] == "+")
+def _read_cmp(token: str) -> Cmp:
     cmp = _CMP_TOKEN.fullmatch(token)
     if cmp is None:
         raise ModelFormatError(f"bad atom token {token!r}")
     return Cmp(int(cmp[1]), _CMP_SYMBOLS[cmp[2]], int(cmp[3]))
 
 
-def _parse_term(token: str) -> Term:
+def _read_term(token: str) -> Term:
     term = _TERM_TOKEN.fullmatch(token)
     if term is None:
         raise ModelFormatError(f"bad term token {token!r}")
     return Term(int(term[1]), term[2], int(term[3]))
 
 
-def _counted(tokens: list[str], i: int, line: str) -> tuple[list[str], list[str]]:
-    """Split off the items whose count is declared at ``tokens[i]``; every
-    declared item must be present.  Returns (items, the tokens after them)."""
+def _count_error(tokens: list[str], i: int, line: str) -> ModelFormatError:
+    """Why the item count declared at ``tokens[i]`` does not fit the line."""
     count = tokens[i] if i < len(tokens) else ""
-    if not (count.isascii() and count.isdigit()):
-        raise ModelFormatError(f"bad item count {count!r} in {line!r}")
-    n = int(count)
-    items = tokens[i + 1 : i + 1 + n]
-    if len(items) != n:
-        raise ModelFormatError(f"line declares {n} items but has {len(items)}: {line!r}")
-    return items, tokens[i + 1 + n :]
+    if _read_count(count) < 0:
+        return ModelFormatError(f"bad item count {count!r} in {line!r}")
+    n, have = int(count), len(tokens) - i - 1
+    if have < n:
+        return ModelFormatError(f"line declares {n} items but has {have}: {line!r}")
+    return ModelFormatError(f"line declares {n} items but has more: {line!r}")
 
 
-def _exactly(tokens: list[str], i: int, line: str) -> list[str]:
-    """Like :func:`_counted`, for a count that must end the line."""
-    items, rest = _counted(tokens, i, line)
-    if rest:
-        raise ModelFormatError(f"line declares {len(items)} items but has more: {line!r}")
-    return items
-
-
-def _parse_body(tokens: list[str], line: str) -> Union[Clause, Lin]:
-    kind = tokens[0] if tokens else None
-    if kind == "clause":
-        return Clause(tuple(_parse_lit(t) for t in _exactly(tokens, 1, line)))
-    if kind == "lin" and len(tokens) >= 3:
-        terms = _exactly(tokens, 3, line)
-        return Lin(tuple(_parse_term(t) for t in terms), tokens[1], _int(tokens[2]))
-    raise ModelFormatError(f"bad constraint body in {line!r}")
+def _check_last_count(count: Callable, tokens: list[str], i: int, line: str) -> None:
+    """The item count declared at ``tokens[i]`` must count every token
+    after it."""
+    n = count(tokens[i]) if i < len(tokens) else -1
+    if n < 0 or len(tokens) != i + 1 + n:
+        raise _count_error(tokens, i, line)
 
 
 def parse_model(text: str) -> CspModel:
     """Parse the canonical text form back into an equal model.  Every
     declared count must match the tokens that follow it; any malformed line
-    raises ModelFormatError."""
+    raises ModelFormatError.
+
+    Each line is split once and its counts checked by length.  Tokens go
+    through one memo per role (literal, atom, term, count, integer), so
+    each distinct token is read once, strictly, and its occurrences in a
+    document are one object; a literal read as an atom is that literal."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["cspmodel", "1"]:
         raise ModelFormatError("missing 'cspmodel 1' header")
+    lit = Memo(_read_lit).__getitem__
+    atom = Memo(lambda token: lit(token) if _LIT_TOKEN.fullmatch(token) else _read_cmp(token))
+    atom = atom.__getitem__
+    term = Memo(_read_term).__getitem__
+    count = Memo(_read_count).__getitem__
+    integer = Memo(_read_int).__getitem__
     m = CspModel()
+    add = m.constraints.append
     for ln in lines[1:]:
         tokens = ln.split()
+        end = len(tokens)
         kind = tokens[0]
-        if kind == "bool":
-            if len(tokens) != 2:
+        guard, i = None, 0  # the body starts at tokens[i]
+        if kind == "imp":
+            n = count(tokens[1]) if end > 1 else -1
+            i = n + 2
+            if n < 0 or i > end:
+                raise _count_error(tokens, 1, ln)
+            guard = tuple(map(atom, tokens[2:i]))
+            kind = tokens[i] if i < end else None
+            if kind != "clause" and kind != "lin":
+                raise ModelFormatError(f"bad constraint body in {ln!r}")
+        if kind == "clause":
+            _check_last_count(count, tokens, i + 1, ln)
+            body = Clause(tuple(map(lit, tokens[i + 2 :])))
+        elif kind == "lin":
+            if end < i + 3:
+                raise ModelFormatError(f"bad constraint body in {ln!r}")
+            _check_last_count(count, tokens, i + 3, ln)
+            terms = tuple(map(term, tokens[i + 4 :]))
+            op = tokens[i + 1]
+            body = Lin(terms, _SHARED_LIN_OPS.get(op, op), integer(tokens[i + 2]))
+        elif kind == "iff":
+            _check_last_count(count, tokens, 2, ln)
+            add(IffConj(lit(tokens[1]), tuple(map(atom, tokens[3:]))))
+            continue
+        elif kind == "bool":
+            if end != 2:
                 raise ModelFormatError(f"bad bool line {ln!r}")
             m.new_bool(tokens[1])
+            continue
         elif kind == "int":
-            if len(tokens) != 4:
+            if end != 4:
                 raise ModelFormatError(f"bad int line {ln!r}")
-            m.new_int(tokens[3], _int(tokens[1]), _int(tokens[2]))
-        elif kind in ("clause", "lin"):
-            m.add(_parse_body(tokens, ln))
-        elif kind == "imp":
-            guard, body = _counted(tokens, 1, ln)
-            m.add(Implies(tuple(_parse_atom(t) for t in guard), _parse_body(body, ln)))
-        elif kind == "iff":
-            atoms = _exactly(tokens, 2, ln)
-            m.add(IffConj(_parse_lit(tokens[1]), tuple(_parse_atom(t) for t in atoms)))
+            m.new_int(tokens[3], integer(tokens[1]), integer(tokens[2]))
+            continue
         elif kind == "minimize":
             if m.objective is not None:
                 raise ModelFormatError(f"second objective line {ln!r}")
-            m.minimize(_parse_term(t) for t in _exactly(tokens, 1, ln))
+            _check_last_count(count, tokens, 1, ln)
+            m.minimize(map(term, tokens[2:]))
+            continue
         else:
             raise ModelFormatError(f"unknown line kind {kind!r}")
+        add(body if guard is None else Implies(guard, body))
     m.check_well_formed()
     return m

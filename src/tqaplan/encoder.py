@@ -7,9 +7,11 @@ channelled start/end timestamps.  Emission order is fixed, so equal inputs
 produce byte-identical models.
 
 Most integer rows instantiate one of two schemata: the difference row
-``x - y op k`` (:func:`_diff`), which orders stage boundaries, copy stage
-indices, timestamps and split points as in a simple temporal network, and
-the bound row ``x op k`` (:func:`_var`), which parks or caps one variable.
+``x - y op k`` (:meth:`Encoder._diff`), which orders stage boundaries, copy
+stage indices, timestamps and split points as in a simple temporal network,
+and the bound row ``x op k`` (:meth:`Encoder._var`), which parks or caps one
+variable.  Every literal, comparison and term is built once per encoder and
+shared by the rows that use it (:attr:`Encoder.atoms`).
 Rows of any other shape (flow conservation, the span-width row, the
 exactly-ones, the objectives) are written out where they are used.
 
@@ -41,6 +43,7 @@ from .cpmodel import (
     Implies,
     Lin,
     Lit,
+    Memo,
     Term,
 )
 from .domain import ConstraintRel, Domain, FluentRole, SkillKind, lowers, raises_of
@@ -54,14 +57,9 @@ def cost_scale(domain: Domain) -> int:
     return lcm(*(s.cost.denominator for s in domain.skills), 1)
 
 
-def _diff(x: int, y: int, op: str, k: int) -> Lin:
-    """The difference row ``x - y op k`` over two integer variables."""
-    return Lin((Term(1, INT, x), Term(-1, INT, y)), op, k)
-
-
-def _var(x: int, op: str, k: int) -> Lin:
-    """The bound row ``x op k`` over one integer variable."""
-    return Lin((Term(1, INT, x),), op, k)
+def _build(key: tuple):
+    """The atom or term ``kind(*fields)`` of the key ``(kind, *fields)``."""
+    return key[0](*key[1:])
 
 
 class Encoder:
@@ -78,6 +76,8 @@ class Encoder:
 
     def __init__(self, objective: str = "none", copy_cap: Optional[int] = None):
         self.model = CspModel()
+        # each distinct literal, comparison and term, by (kind, *fields)
+        self.atoms = Memo(_build)
         self.objective = objective
         self.copy_cap = copy_cap
         self.shape: Optional[TheoryShape] = None
@@ -89,18 +89,39 @@ class Encoder:
         self.boundary_id, self.split_id = {}, {}
         self._family_rows: list[list[int]] = [[] for _ in self._families()]
 
-    # -- shared lookups -----------------------------------------------------
+    # -- shared atoms and lookups ----------------------------------------------
 
-    def _flow(self, fluent: str, t: int, v: int, w: int) -> Lit:
-        return Lit(self.flow_id[(fluent, t, v, w)])
+    def _lit(self, var: int, val: bool = True) -> Lit:
+        return self.atoms[Lit, var, val]
+
+    def _not(self, lit: Lit) -> Lit:
+        return self.atoms[Lit, lit.var, not lit.val]
+
+    def _cmp(self, var: int, op: str, k: int) -> Cmp:
+        return self.atoms[Cmp, var, op, k]
+
+    def _term(self, coef: int, space: str, var: int) -> Term:
+        return self.atoms[Term, coef, space, var]
+
+    def _diff(self, x: int, y: int, op: str, k: int) -> Lin:
+        """The difference row ``x - y op k`` over two integer variables."""
+        return Lin((self._term(1, INT, x), self._term(-1, INT, y)), op, k)
+
+    def _var(self, x: int, op: str, k: int) -> Lin:
+        """The bound row ``x op k`` over one integer variable."""
+        return Lin((self._term(1, INT, x),), op, k)
+
+    def _flow(self, fluent: str, t: int, v: int, w: int, val: bool = True) -> Lit:
+        return self._lit(self.flow_id[(fluent, t, v, w)], val)
 
     def _one_flow(self, fluent: str, t: int, *tags: tuple[int, int]) -> Lin:
         """Exactly one of the flows ``tags`` of ``fluent`` at stage ``t``."""
-        return Lin(tuple(Term(1, BOOL, self.flow_id[(fluent, t, v, w)]) for v, w in tags), EQ, 1)
+        flow = self.flow_id
+        return Lin(tuple(self._term(1, BOOL, flow[(fluent, t, v, w)]) for v, w in tags), EQ, 1)
 
     def contains_lit(self, ai: int, k: int, t: int) -> Lit:
         """The reified 'copy k of action ai spans stage t' literal."""
-        return Lit(self._contains_id[(ai, k, t)])
+        return self._lit(self._contains_id[(ai, k, t)])
 
     def _stages(self, lo: int, hi: int, k: int = 0, shift: int = 0) -> range:
         """``range(lo, hi)`` cut to the rows new at this stage count.  Row
@@ -123,25 +144,26 @@ class Encoder:
         shape, m = self.shape, self.model
         n = shape.n_stages
         init, goal = shape.domain.init, shape.domain.goal
+        flow = self.flow_id
         for fluent in shape.fluent_names:
             if self.t0 == 1:
                 if fluent in init:
                     m.add(self._one_flow(fluent, 1, (1, 0), (1, 1)))
-                    m.add(Clause((self._flow(fluent, 1, 0, 0).negate(),)))
-                    m.add(Clause((self._flow(fluent, 1, 0, 1).negate(),)))
+                    m.add(Clause((self._flow(fluent, 1, 0, 0, False),)))
+                    m.add(Clause((self._flow(fluent, 1, 0, 1, False),)))
                 else:
                     m.add(self._one_flow(fluent, 1, (0, 1), (0, 0)))
-                    m.add(Clause((self._flow(fluent, 1, 1, 0).negate(),)))
-                    m.add(Clause((self._flow(fluent, 1, 1, 1).negate(),)))
+                    m.add(Clause((self._flow(fluent, 1, 1, 0, False),)))
+                    m.add(Clause((self._flow(fluent, 1, 1, 1, False),)))
             for t in self._stages(1, n, shift=1):
                 for w in (0, 1):
                     m.add(
                         Lin(
                             (
-                                Term(1, BOOL, self._flow(fluent, t, 0, w).var),
-                                Term(1, BOOL, self._flow(fluent, t, 1, w).var),
-                                Term(-1, BOOL, self._flow(fluent, t + 1, w, 0).var),
-                                Term(-1, BOOL, self._flow(fluent, t + 1, w, 1).var),
+                                self._term(1, BOOL, flow[(fluent, t, 0, w)]),
+                                self._term(1, BOOL, flow[(fluent, t, 1, w)]),
+                                self._term(-1, BOOL, flow[(fluent, t + 1, w, 0)]),
+                                self._term(-1, BOOL, flow[(fluent, t + 1, w, 1)]),
                             ),
                             EQ,
                             0,
@@ -157,12 +179,12 @@ class Encoder:
                 b_cur = self.boundary_id[t]
                 for v, w in ((0, 1), (1, 0)):
                     guard = (self._flow(fluent, t, v, w),)
-                    m.add(Implies(guard, _diff(b_prev, s, LE, -1)))
-                    m.add(Implies(guard, _diff(s, b_cur, LE, -1)))
+                    m.add(Implies(guard, self._diff(b_prev, s, LE, -1)))
+                    m.add(Implies(guard, self._diff(s, b_cur, LE, -1)))
                 # constant stages have no transition to place; park the split
                 # at its lower bound (decode never reads it there)
                 for v in (0, 1):
-                    m.add(Implies((self._flow(fluent, t, v, v),), _var(s, EQ, t - 1)))
+                    m.add(Implies((self._flow(fluent, t, v, v),), self._var(s, EQ, t - 1)))
 
     # -- action structure -----------------------------------------------------
 
@@ -173,10 +195,10 @@ class Encoder:
         n, h = shape.n_stages, shape.horizon
         b = self.boundary_id
         if self.t0 == 1:
-            m.add(_var(b[0], EQ, 0))
+            m.add(self._var(b[0], EQ, 0))
         for t in self._stages(1, n + 1):
-            m.add(_diff(b[t - 1], b[t], LE, -1))
-        self.tail(_var(b[n], LE, h))
+            m.add(self._diff(b[t - 1], b[t], LE, -1))
+        self.tail(self._var(b[n], LE, h))
 
         for ai, ref in enumerate(shape.actions):
             skill = shape.skill_of(ref) if ref.kind == "skill" else None
@@ -185,22 +207,22 @@ class Encoder:
             )
             for k in shape.copies():
                 new = k >= self.k0
-                u = Lit(self.use_id[(ai, k)])
+                u = self._lit(self.use_id[(ai, k)])
                 l_v, r_v = self.left_id[(ai, k)], self.right_id[(ai, k)]
                 s_v, e_v = self.start_id[(ai, k)], self.end_id[(ai, k)]
                 if new:
-                    m.add(Implies((u,), _diff(l_v, r_v, LE, -1)))
-                self.tail(Implies((u.negate(),), _var(l_v, EQ, n + 1)))
+                    m.add(Implies((u,), self._diff(l_v, r_v, LE, -1)))
+                self.tail(Implies((self._not(u),), self._var(l_v, EQ, n + 1)))
                 if new:
                     for x in (r_v, s_v, e_v):
-                        m.add(Implies((u.negate(),), _var(x, EQ, 0)))
+                        m.add(Implies((self._not(u),), self._var(x, EQ, 0)))
                 if new and k > 1:
-                    m.add(Clause((u.negate(), Lit(self.use_id[(ai, k - 1)]))))
-                    m.add(Implies((u,), _diff(self.right_id[(ai, k - 1)], l_v, LE, 0)))
+                    m.add(Clause((self._not(u), self._lit(self.use_id[(ai, k - 1)]))))
+                    m.add(Implies((u,), self._diff(self.right_id[(ai, k - 1)], l_v, LE, 0)))
                 for t in self._stages(1, n + 1, k):
-                    m.add(Implies((u, Cmp(l_v, EQ, t)), _diff(s_v, b[t - 1], EQ, 0)))
+                    m.add(Implies((u, self._cmp(l_v, EQ, t)), self._diff(s_v, b[t - 1], EQ, 0)))
                 for t in self._stages(2, n + 2, k, shift=-1):
-                    m.add(Implies((u, Cmp(r_v, EQ, t)), _diff(e_v, b[t - 1], EQ, 0)))
+                    m.add(Implies((u, self._cmp(r_v, EQ, t)), self._diff(e_v, b[t - 1], EQ, 0)))
                 if not new:
                     continue
                 # stages are at least one tick wide, so E - S >= r - l
@@ -209,10 +231,10 @@ class Encoder:
                         (u,),
                         Lin(
                             (
-                                Term(-1, INT, e_v),
-                                Term(1, INT, s_v),
-                                Term(1, INT, r_v),
-                                Term(-1, INT, l_v),
+                                self._term(-1, INT, e_v),
+                                self._term(1, INT, s_v),
+                                self._term(1, INT, r_v),
+                                self._term(-1, INT, l_v),
                             ),
                             LE,
                             0,
@@ -222,14 +244,14 @@ class Encoder:
                 if skill is None:
                     continue
                 if skill.kind is SkillKind.DELAY:
-                    m.add(Implies((u,), _diff(e_v, s_v, EQ, skill.duration)))
-                    m.add(Implies((u,), _diff(r_v, l_v, LE, skill.duration)))
+                    m.add(Implies((u,), self._diff(e_v, s_v, EQ, skill.duration)))
+                    m.add(Implies((u,), self._diff(r_v, l_v, LE, skill.duration)))
                 else:
-                    m.add(Implies((u,), _diff(s_v, e_v, LE, -1)))
+                    m.add(Implies((u,), self._diff(s_v, e_v, LE, -1)))
                 if has_equals:
                     # one-tick insets on both sides need two ticks of slack
-                    m.add(Implies((u,), _diff(s_v, e_v, LE, -2)))
-                    m.add(Implies((u,), _diff(l_v, r_v, LE, -2)))
+                    m.add(Implies((u,), self._diff(s_v, e_v, LE, -2)))
+                    m.add(Implies((u,), self._diff(l_v, r_v, LE, -2)))
 
     # -- precondition/effect constraint families ------------------------------
 
@@ -240,12 +262,12 @@ class Encoder:
         for t in self._stages(2, shape.n_stages + 1, k):
             m.add(
                 Implies(
-                    (u, Cmp(l_v, EQ, t)),
+                    (u, self._cmp(l_v, EQ, t)),
                     Clause((self._flow(fluent, t - 1, 0, 1), self._flow(fluent, t - 1, 1, 1))),
                 )
             )
         if k >= self.k0 and fluent not in shape.domain.init:
-            m.add(Implies((u,), Lin((Term(-1, INT, l_v),), LE, -2)))
+            m.add(Implies((u,), Lin((self._term(-1, INT, l_v),), LE, -2)))
 
     def emit_tc_constraints(self) -> None:
         """Reify span literals and emit the contains/overlaps families.
@@ -262,21 +284,20 @@ class Encoder:
             ref = shape.actions[ai]
             skill = shape.skill_of(ref)
             for k in shape.copies():
-                u = Lit(self.use_id[(ai, k)])
+                u = self._lit(self.use_id[(ai, k)])
                 l_v, r_v = self.left_id[(ai, k)], self.right_id[(ai, k)]
                 for t in self._stages(1, n + 1, k):
                     c = m.new_bool(f"c[{ref.label()},{k},{t}]")
                     self._contains_id[(ai, k, t)] = c
-                    m.add(
-                        IffConj(Lit(c), (u, Cmp(l_v, LE, t), Cmp(r_v, GE, t + 1)))
-                    )
+                    spans = (u, self._cmp(l_v, LE, t), self._cmp(r_v, GE, t + 1))
+                    m.add(IffConj(self._lit(c), spans))
                 for si, spec in enumerate(skill.constraints):
                     if spec.rel is ConstraintRel.CONTAINS:
                         self._emit_window_start_rule(spec.fluent, u, l_v, k)
                         for t in self._stages(2, n + 1, k):
                             m.add(
                                 Implies(
-                                    (u, Cmp(r_v, EQ, t)),
+                                    (u, self._cmp(r_v, EQ, t)),
                                     Clause(
                                         (
                                             self._flow(spec.fluent, t, 1, 0),
@@ -286,12 +307,12 @@ class Encoder:
                                 )
                             )
                         if spec.fluent not in shape.domain.goal:
-                            self.tail(Implies((u,), _var(r_v, LE, n)))
+                            self.tail(Implies((u,), self._var(r_v, LE, n)))
                         for t in self._stages(1, n + 1, k):
                             m.add(
                                 Clause(
                                     (
-                                        self.contains_lit(ai, k, t).negate(),
+                                        self._not(self.contains_lit(ai, k, t)),
                                         self._flow(spec.fluent, t, 1, 1),
                                     )
                                 )
@@ -303,15 +324,16 @@ class Encoder:
                             self._fall_id[(ai, k, si, t)] = g
                             m.add(
                                 IffConj(
-                                    Lit(g),
+                                    self._lit(g),
                                     (
                                         self._flow(spec.fluent, t, 1, 0),
                                         self.contains_lit(ai, k, t),
                                     ),
                                 )
                             )
+                        fall = self._fall_id
                         fall_terms = tuple(
-                            Term(1, BOOL, self._fall_id[(ai, k, si, t)]) for t in range(1, n + 1)
+                            self._term(1, BOOL, fall[(ai, k, si, t)]) for t in range(1, n + 1)
                         )
                         self.tail(Implies((u,), Lin(fall_terms, EQ, 1)))
 
@@ -332,22 +354,22 @@ class Encoder:
             for comp in comp_ids:
                 component_parents[(shape.actions[comp].name, ref.actor)] = ai
             for k in new_copies:
-                u = Lit(self.use_id[(ai, k)])
+                u = self._lit(self.use_id[(ai, k)])
                 for comp in comp_ids:
-                    m.add(Clause((u.negate(), Lit(self.use_id[(comp, k)]))))
+                    m.add(Clause((self._not(u), self._lit(self.use_id[(comp, k)]))))
                 left, right = self.left_id, self.right_id
-                m.add(Implies((u,), _diff(left[(comp_ids[0], k)], left[(ai, k)], EQ, 0)))
-                m.add(Implies((u,), _diff(right[(comp_ids[-1], k)], right[(ai, k)], EQ, 0)))
+                m.add(Implies((u,), self._diff(left[(comp_ids[0], k)], left[(ai, k)], EQ, 0)))
+                m.add(Implies((u,), self._diff(right[(comp_ids[-1], k)], right[(ai, k)], EQ, 0)))
                 for first, second in zip(comp_ids, comp_ids[1:]):
-                    m.add(Implies((u,), _diff(right[(first, k)], left[(second, k)], EQ, 0)))
+                    m.add(Implies((u,), self._diff(right[(first, k)], left[(second, k)], EQ, 0)))
         for (name, actor), parent_ai in sorted(component_parents.items()):
             comp_ai = shape.action_index(name, actor)
             for k in new_copies:
                 m.add(
                     Clause(
                         (
-                            Lit(self.use_id[(comp_ai, k)]).negate(),
-                            Lit(self.use_id[(parent_ai, k)]),
+                            self._lit(self.use_id[(comp_ai, k)], False),
+                            self._lit(self.use_id[(parent_ai, k)]),
                         )
                     )
                 )
@@ -359,31 +381,30 @@ class Encoder:
             if not equals_specs:
                 continue
             for k in shape.copies():
-                u = Lit(self.use_id[(ai, k)])
+                u = self._lit(self.use_id[(ai, k)])
                 l_v, r_v = self.left_id[(ai, k)], self.right_id[(ai, k)]
                 for t in self._stages(2, n, k, shift=1):
                     d = m.new_bool(f"d[{ref.label()},{k},{t}]")
                     self._interior_id[(ai, k, t)] = d
-                    m.add(
-                        IffConj(Lit(d), (u, Cmp(l_v, LE, t - 1), Cmp(r_v, GE, t + 2)))
-                    )
+                    inside = (u, self._cmp(l_v, LE, t - 1), self._cmp(r_v, GE, t + 2))
+                    m.add(IffConj(self._lit(d), inside))
                 for spec in equals_specs:
                     rho = spec.fluent
                     for t in self._stages(1, n + 1, k):
-                        guard = (u, Cmp(l_v, EQ, t))
+                        guard = (u, self._cmp(l_v, EQ, t))
                         m.add(Implies(guard, Clause((self._flow(rho, t, 0, 1),))))
                         s = self.split_id[(rho, t)]
-                        m.add(Implies(guard, _diff(s, self.boundary_id[t - 1], EQ, 1)))
+                        m.add(Implies(guard, self._diff(s, self.boundary_id[t - 1], EQ, 1)))
                     for t_end in self._stages(2, n + 2, k, shift=-1):
-                        guard = (u, Cmp(r_v, EQ, t_end))
+                        guard = (u, self._cmp(r_v, EQ, t_end))
                         m.add(Implies(guard, Clause((self._flow(rho, t_end - 1, 1, 0),))))
                         s = self.split_id[(rho, t_end - 1)]
-                        m.add(Implies(guard, _diff(s, self.boundary_id[t_end - 1], EQ, -1)))
+                        m.add(Implies(guard, self._diff(s, self.boundary_id[t_end - 1], EQ, -1)))
                     for t in self._stages(2, n, k, shift=1):
                         m.add(
                             Clause(
                                 (
-                                    Lit(self._interior_id[(ai, k, t)]).negate(),
+                                    self._lit(self._interior_id[(ai, k, t)], False),
                                     self._flow(rho, t, 1, 1),
                                 )
                             )
@@ -401,12 +422,12 @@ class Encoder:
 
         for fluent in shape.fluent_names:
             for t in range(self.set_t0, n + 1):
-                rise_lits = [self._flow(fluent, t, 0, 1).negate()]
+                rise_lits = [self._flow(fluent, t, 0, 1, False)]
                 for ai in self._raisers[fluent]:
                     for k in shape.copies():
                         rise_lits.append(self.contains_lit(ai, k, t))
                 self.set_add(Clause(tuple(rise_lits)))
-                fall_lits = [self._flow(fluent, t, 1, 0).negate()]
+                fall_lits = [self._flow(fluent, t, 1, 0, False)]
                 for ai in self._lowerers[fluent]:
                     for k in shape.copies():
                         fall_lits.append(self.contains_lit(ai, k, t))
@@ -420,8 +441,8 @@ class Encoder:
                         m.add(
                             Clause(
                                 (
-                                    self._flow(first, t, v, 1).negate(),
-                                    self._flow(second, t, w, 1).negate(),
+                                    self._flow(first, t, v, 1, False),
+                                    self._flow(second, t, w, 1, False),
                                 )
                             )
                         )
@@ -429,14 +450,14 @@ class Encoder:
                             m.add(
                                 Clause(
                                     (
-                                        self._flow(first, t, 1, v).negate(),
-                                        self._flow(second, t, 1, w).negate(),
+                                        self._flow(first, t, 1, v, False),
+                                        self._flow(second, t, 1, w, False),
                                     )
                                 )
                             )
                 for riser, faller in ((first, second), (second, first)):
                     guard = (self._flow(riser, t, 0, 1), self._flow(faller, t, 1, 0))
-                    m.add(Implies(guard, _diff(split[(faller, t)], split[(riser, t)], LE, 0)))
+                    m.add(Implies(guard, self._diff(split[(faller, t)], split[(riser, t)], LE, 0)))
 
     def emit_implied_cuts(self) -> None:
         """Redundant rows that never change satisfiability but let bound
@@ -457,7 +478,7 @@ class Encoder:
         for fluent in shape.fluent_names:
             if fluent in domain.goal and fluent not in domain.init:
                 lits = tuple(
-                    Lit(self.use_id[(ai, k)])
+                    self._lit(self.use_id[(ai, k)])
                     for ai in self._raisers[fluent]
                     for k in shape.copies()
                 )
@@ -475,14 +496,14 @@ class Encoder:
                 if len(providers) != 1:
                     continue
                 bi = providers[0]
-                u = Lit(self.use_id[(ai, 1)])
+                u = self._lit(self.use_id[(ai, 1)])
                 l_a, r_a = self.left_id[(ai, 1)], self.right_id[(ai, 1)]
                 s_a, e_a = self.start_id[(ai, 1)], self.end_id[(ai, 1)]
                 l_b, r_b = self.left_id[(bi, 1)], self.right_id[(bi, 1)]
                 s_b, e_b = self.start_id[(bi, 1)], self.end_id[(bi, 1)]
-                add(Clause((u.negate(), Lit(self.use_id[(bi, 1)]))))
-                add(Implies((u,), _diff(l_b, l_a, LE, -1)))
-                add(Implies((u,), _diff(s_b, s_a, LE, -2)))
+                add(Clause((self._not(u), self._lit(self.use_id[(bi, 1)]))))
+                add(Implies((u,), self._diff(l_b, l_a, LE, -1)))
+                add(Implies((u,), self._diff(s_b, s_a, LE, -2)))
                 window = (
                     roles.get(spec.fluent) is FluentRole.RESOURCE
                     and spec.fluent
@@ -495,13 +516,13 @@ class Encoder:
                 if not window:
                     continue
                 if spec.rel is ConstraintRel.CONTAINS:
-                    add(Implies((u,), _diff(r_a, r_b, LE, -1)))
-                    add(Implies((u,), _diff(e_a, e_b, LE, -2)))
+                    add(Implies((u,), self._diff(r_a, r_b, LE, -1)))
+                    add(Implies((u,), self._diff(e_a, e_b, LE, -2)))
                 else:  # the provider's window must fall strictly inside the span
-                    add(Implies((u,), _diff(r_b, r_a, LE, 0)))
-                    add(Implies((u,), _diff(l_a, r_b, LE, -1)))
-                    add(Implies((u,), _diff(e_b, e_a, LE, 0)))
-                    add(Implies((u,), _diff(s_a, e_b, LE, -2)))
+                    add(Implies((u,), self._diff(r_b, r_a, LE, 0)))
+                    add(Implies((u,), self._diff(l_a, r_b, LE, -1)))
+                    add(Implies((u,), self._diff(e_b, e_a, LE, 0)))
+                    add(Implies((u,), self._diff(s_a, e_b, LE, -2)))
 
     # -- objective -----------------------------------------------------------
 
@@ -517,7 +538,7 @@ class Encoder:
                 if coef == 0:
                     continue
                 for k in shape.copies():
-                    terms.append(Term(coef, BOOL, self.use_id[(ai, k)]))
+                    terms.append(self._term(coef, BOOL, self.use_id[(ai, k)]))
             m.minimize(terms)
             return
         if kind == "makespan":
@@ -527,9 +548,9 @@ class Encoder:
             m.int_decls[span] = ("makespan", 0, shape.horizon)
             for ai in self._skill_ais:
                 for k in range(self.k0, shape.copy_cap + 1):
-                    u = Lit(self.use_id[(ai, k)])
-                    m.add(Implies((u,), _diff(self.end_id[(ai, k)], span, LE, 0)))
-            m.minimize((Term(1, INT, span),))
+                    u = self._lit(self.use_id[(ai, k)])
+                    m.add(Implies((u,), self._diff(self.end_id[(ai, k)], span, LE, 0)))
+            m.minimize((self._term(1, INT, span),))
             return
         raise ValueError(f"unknown objective kind {kind!r}; use one of {OBJECTIVE_KINDS}")
 

@@ -163,10 +163,9 @@ def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
 # -- propagation engine -------------------------------------------------------
 
 
-def _negate(lit: tuple[int, bool, int]) -> tuple[int, bool, int]:
+def _negated(lits: list[tuple[int, bool, int]]) -> list[tuple[int, bool, int]]:
     """not (x >= k) is x <= k - 1, and not (x <= k) is x >= k + 1."""
-    uid, ge, k = lit
-    return (uid, False, k - 1) if ge else (uid, True, k + 1)
+    return [(uid, False, k - 1) if ge else (uid, True, k + 1) for uid, ge, k in lits]
 
 
 class Engine:
@@ -180,8 +179,10 @@ class Engine:
     A row is a tuple of clauses ``(lits, body)``: the bound literals
     ``lits``, or ``body`` when it is not None, a linear body: the halves
     ``(terms, const)``, each ``sum(c * x) <= const``, one for ``<=`` and
-    two for ``=``.  Only :meth:`_force` tightens a bound and pushes a trail
-    entry ``(uid, ge, old bound)``.
+    two for ``=``.  Compiled rows share their tuples: ``shared`` holds the
+    one tuple for each distinct bound literal, term pair and terms tuple.
+    Only :meth:`_force` tightens a bound and pushes a trail entry ``(uid,
+    ge, old bound)``.
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
@@ -207,6 +208,7 @@ class Engine:
         self.conflict = False
         self.nodes = 0
         self.order: Optional[list[int]] = None
+        self.shared: dict[tuple, tuple] = {}
         if model is not None:
             self.load(model, len(model.constraints))
 
@@ -266,14 +268,17 @@ class Engine:
         out = []
         for a in atoms:
             if type(a) is Lit:
-                out.append((bool_uid[a.var], True, 1) if a.val else (bool_uid[a.var], False, 0))
-            elif a.op == LE:
-                out.append((int_uid[a.var], False, a.k))
-            elif a.op == GE:
-                out.append((int_uid[a.var], True, a.k))
+                var, val = a
+                out.append((bool_uid[var], True, 1) if val else (bool_uid[var], False, 0))
+                continue
+            var, op, k = a
+            uid = int_uid[var]
+            if op == LE:
+                out.append((uid, False, k))
+            elif op == GE:
+                out.append((uid, True, k))
             else:
-                uid = int_uid[a.var]
-                out += ((uid, True, a.k), (uid, False, a.k))
+                out += ((uid, True, k), (uid, False, k))
         return out
 
     def _register(self, compiled, uids) -> None:
@@ -288,34 +293,45 @@ class Engine:
             self.tail_uids.extend(uids)
 
     def _compile(self, con) -> None:
+        # every tuple built here is replaced by the engine's one tuple equal
+        # to it: share(x, x) for each x of a list xs is map(share, xs, xs)
+        share = self.shared.setdefault
         if isinstance(con, IffConj):
             # lit <-> a1 and ... and an: the clause (not a1 or ... or lit)
             # and the binary clauses (not lit or ai)
-            (lit,) = self._literals((con.lit,))
-            atoms = self._literals(con.atoms)
-            clauses = [(*map(_negate, atoms), lit)]
-            clauses += [(_negate(lit), a) for a in atoms]
-            self._register(tuple((c, None) for c in clauses), [u for u, _, _ in clauses[0]])
+            lit, atoms = con
+            (lit,) = self._literals((lit,))
+            (not_lit,) = _negated([lit])
+            atoms = self._literals(atoms)
+            clause = _negated(atoms) + [lit]
+            not_lit = share(not_lit, not_lit)
+            clauses = [tuple(map(share, clause, clause))]
+            clauses += [(not_lit, a) for a in map(share, atoms, atoms)]
+            self._register(tuple((c, None) for c in clauses), [u for u, _, _ in clause])
             return
         # (g1 and ... and gn) -> body is (not g1 or ... or not gn or body)
         guard: tuple = ()
         if isinstance(con, Implies):
-            guard, con = tuple(map(_negate, self._literals(con.guard))), con.body
+            guard, con = con
+            guard = _negated(self._literals(guard))
+            guard = tuple(map(share, guard, guard))
         if isinstance(con, Clause):
-            clause = guard + tuple(self._literals(con.lits))
+            lits = self._literals(con.lits)
+            clause = guard + tuple(map(share, lits, lits))
             self._register(((clause, None),), [u for u, _, _ in clause])
             return
         # a linear row, guarded or not, is the body of that clause: sum <= k,
         # or for an equality sum = k the pair of halves sum <= k, -sum <= -k
+        terms, op, const = con
         bool_uid, int_uid = self.bool_uid, self.int_uid
-        terms = tuple(
-            (t.coef, bool_uid[t.var] if t.space == BOOL else int_uid[t.var]) for t in con.terms
-        )
-        body = ((terms, con.const),)
-        if con.op == EQ:
-            body += ((tuple((-c, u) for c, u in terms), -con.const),)
-        uids = [u for u, _, _ in guard] + [u for _, u in terms]
-        self._register(((guard, body),), uids)
+        pairs = [(c, bool_uid[v] if s == BOOL else int_uid[v]) for c, s, v in terms]
+        terms = tuple(map(share, pairs, pairs))
+        body = ((share(terms, terms), const),)
+        if op == EQ:
+            pairs = [(-c, u) for c, u in terms]
+            neg = tuple(map(share, pairs, pairs))
+            body += ((share(neg, neg), -const),)
+        self._register(((guard, body),), [u for u, _, _ in guard] + [u for _, u in terms])
 
     # -- domain updates -------------------------------------------------------
 

@@ -157,6 +157,49 @@ def test_parse_rejects_every_malformed_line(line):
         parse_model(HEADER + line + "\n")
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # accepted as a guard atom first, still no clause literal after
+        "imp 1 i0<=2 clause 1 +b0\nclause 1 i0<=2\n",
+        # accepted as a literal and as an atom first, still no term after
+        "clause 1 +b0\nimp 1 +b0 clause 0\nlin le 1 1 +b0\n",
+        "iff +b0 1 +b0\nminimize 1 +b0\n",
+        # accepted as a term first, still no atom after
+        "lin le 1 1 1*b0\nimp 1 1*b0 clause 0\n",
+        # accepted as an integer first, still no count after
+        "lin le -1 0\nclause -1\n",
+    ],
+)
+def test_a_token_read_in_one_role_is_still_rejected_in_another(doc):
+    with pytest.raises(ModelFormatError):
+        parse_model(HEADER + doc)
+
+
+def test_a_repeated_malformed_token_fails_at_its_first_line():
+    doc = HEADER + "clause 1 +b0\nclause 1 +q3\nfrobnicate\nclause 1 +q3\n"
+    for _ in range(2):  # and again: a document's memos die with its read
+        with pytest.raises(ModelFormatError, match=r"boolean literal, got '\+q3'"):
+            parse_model(doc)
+
+
+def test_one_token_in_one_document_is_one_object():
+    m = parse_model(
+        HEADER
+        + "imp 2 +b0 i0<=2 clause 1 +b1\n"
+        + "clause 2 +b1 +b0\n"
+        + "iff +b0 1 i0<=2\n"
+        + "lin le 3 1 1*i0\n"
+        + "minimize 2 1*i0 1*b1\n"
+    )
+    guarded, clause, iff, lin = m.constraints
+    assert guarded.guard[0] is clause.lits[1] is iff.lit  # +b0 as atom and literal
+    assert guarded.body.lits[0] is clause.lits[0]  # +b1
+    assert guarded.guard[1] is iff.atoms[0]  # i0<=2
+    assert lin.terms[0] is m.objective[0]  # 1*i0
+    assert parse_model(export_model(m)) == m
+
+
 def test_parse_accepts_empty_counts():
     m = parse_model(HEADER + "clause 0\niff +b0 0\nimp 0 lin le 3 1 1*i0\nminimize 0\n")
     assert parse_model(export_model(m)) == m

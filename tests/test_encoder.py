@@ -21,6 +21,7 @@ from tqaplan.cpmodel import (
     Lit,
     Term,
     export_model,
+    parse_model,
 )
 from tqaplan.domain import (
     ConstraintRel,
@@ -411,7 +412,10 @@ def test_tiny_domain_models_are_byte_identical_to_the_golden_digest():
             for n in (1, 2, 3):
                 shape = instantiate(domain, n, cap)
                 for objective in ("none", "costs", "makespan"):
-                    digest.update(export_model(encode(shape, objective)).encode())
+                    text = export_model(encode(shape, objective))
+                    # the reader's memos give back the very text they read
+                    assert export_model(parse_model(text)) == text
+                    digest.update(text.encode())
     assert digest.hexdigest() == GOLDEN_TINY_DIGEST
 
 

@@ -9,7 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from randgen import random_small_model, random_tiny_domain
 from tqaplan.domain import parse_domain, serialize_domain
-from tqaplan.cpmodel import ModelFormatError, export_model, parse_model
+from tqaplan.cpmodel import (
+    Clause,
+    Cmp,
+    IffConj,
+    Implies,
+    Lin,
+    Lit,
+    ModelFormatError,
+    export_model,
+    parse_model,
+)
 from tqaplan.encoder import encode
 from tqaplan.intervals import History, Interval, Tqa, check_tqa
 from tqaplan.search import SearchLimits, find_plan
@@ -140,6 +150,68 @@ def _outcome(run, m):
 def test_written_models_read_back_as_themselves(m):
     text = _outcome(export_model, m)
     assert text is ModelFormatError or parse_model(text) == m
+
+
+def _edited(con, edit: str, i: int):
+    """One row edit.  ``same`` rebuilds the row from its fields and
+    ``kind`` builds a row of another kind from the same fields.  ``const``
+    moves a linear body's constant; otherwise it and ``flip`` edit the atom
+    at ``i`` (see :func:`_edited_atoms`), or ``flip`` negates the IffConj's
+    literal or a linear row's coefficient at ``i``."""
+    if edit == "same":
+        return type(con)(*con)
+    if edit == "kind":
+        if isinstance(con, Clause):
+            return IffConj(con.lits[0], con.lits[1:])
+        if isinstance(con, Lin):
+            return Implies((), con)
+        if isinstance(con, Implies):
+            return con.body
+        return Implies(con.atoms, Clause((con.lit,)))
+    if isinstance(con, Implies):
+        if edit == "const" and isinstance(con.body, Lin):
+            return Implies(con.guard, _edited(con.body, edit, i))
+        return Implies(_edited_atoms(con.guard, i), con.body)
+    if isinstance(con, Lin):
+        if edit == "const":
+            return Lin(con.terms, con.op, con.const + 1)
+        j = i % len(con.terms)
+        term = con.terms[j]._replace(coef=-con.terms[j].coef)
+        return Lin(con.terms[:j] + (term,) + con.terms[j + 1 :], con.op, con.const)
+    if isinstance(con, Clause):
+        return Clause(_edited_atoms(con.lits, i))
+    if edit == "flip":
+        return IffConj(con.lit.negate(), con.atoms)
+    return IffConj(con.lit, _edited_atoms(con.atoms, i))
+
+
+def _edited_atoms(atoms: tuple, i: int) -> tuple:
+    """``atoms`` with the one at ``i`` changed: a literal negated, a
+    comparison's constant moved by one."""
+    j = i % len(atoms)
+    a = atoms[j]
+    a = a.negate() if isinstance(a, Lit) else Cmp(a.var, a.op, a.k + 1)
+    return atoms[:j] + (a,) + atoms[j + 1 :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 99),
+    st.sampled_from(("same", "const", "flip", "kind")),
+    st.integers(0, 3),
+)
+def test_models_are_equal_exactly_when_their_texts_are(seed, row, edit, i):
+    """Rows are tuples, so equality must still tell the kinds apart: a
+    one-row edit leaves the model equal exactly when it leaves the text."""
+    m = random_small_model(random.Random(seed))
+    edited = random_small_model(random.Random(seed))
+    row %= len(m.constraints)
+    edited.constraints[row] = _edited(m.constraints[row], edit, i)
+    assert (m == edited) == (export_model(m) == export_model(edited))
+    assert (m == edited) == (edit == "same")
+    for model in (m, edited):
+        assert parse_model(export_model(model)) == model
 
 
 @settings(max_examples=150, deadline=None)
