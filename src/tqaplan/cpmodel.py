@@ -13,10 +13,21 @@ the types of their fields, and comparisons and terms use disjoint codes.
 Building a model checks nothing; each rule lives in one place.  Every
 consumer runs :meth:`CspModel.check_well_formed` (domains, ids, ops);
 :func:`export_model` wants each name to be one whitespace-free token, and
-:func:`parse_model` checks each line's tokens (kinds, counts, syntax)."""
+:func:`parse_model` checks each line's tokens (kinds, counts, syntax).
+
+A model is some 100k small objects with no reference cycles, so the cyclic
+garbage collector finds nothing in it, yet would walk all of it again and
+again while it is built and read.  The five calls that build or walk a
+whole model, :func:`~tqaplan.search.find_plan`,
+:func:`~tqaplan.solver.solve`, :func:`~tqaplan.encoder.encode`,
+:func:`export_model` and :func:`parse_model`, pause the collector
+(:func:`acyclic`).  That is safe because these calls create no reference
+cycles: reference counting frees all their garbage, as a test checks."""
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -101,6 +112,30 @@ class ModelFormatError(ValueError):
     pass
 
 
+def acyclic(fn: Callable) -> Callable:
+    """Run ``fn`` with the cyclic garbage collector paused, and switch it
+    back on afterwards only if it was on when ``fn`` was called, so nested
+    calls, a call that raises and a caller that paused it are all safe.
+
+    For a call that creates no reference cycles: its garbage is freed by
+    reference counting alone, and the collector would only walk the live
+    model again and again while the call builds or reads it.  The switch
+    is process-wide: a thread that switches the collector while such a
+    call runs in another thread may find its setting undone."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 class Memo(dict):
     """Each distinct key's value, computed once by ``read`` on first use;
     a repeated key costs one lookup and returns the same object."""
@@ -121,15 +156,15 @@ _LIN_OPS = (LE, EQ)
 
 
 def _check_terms(terms: tuple[Term, ...], nb: int, ni: int) -> None:
-    for t in terms:
-        if t.space == BOOL:
-            if not 0 <= t.var < nb:
-                raise ModelFormatError(f"boolean id {t.var} out of range")
-        elif t.space == INT:
-            if not 0 <= t.var < ni:
-                raise ModelFormatError(f"integer id {t.var} out of range")
+    for _, space, var in terms:
+        if space == BOOL:
+            if not 0 <= var < nb:
+                raise ModelFormatError(f"boolean id {var} out of range")
+        elif space == INT:
+            if not 0 <= var < ni:
+                raise ModelFormatError(f"integer id {var} out of range")
         else:
-            raise ModelFormatError(f"bad variable space {t.space!r}")
+            raise ModelFormatError(f"bad variable space {space!r}")
 
 
 _is_name = re.compile(r"\S+").fullmatch
@@ -179,34 +214,38 @@ class CspModel:
                 raise ModelFormatError(f"empty domain [{lo}, {hi}] for {name!r}")
         nb, ni = len(self.bool_names), len(self.int_decls)
         for con in itertools.islice(self.constraints, first_row, None):
-            lin = None
-            if isinstance(con, Implies):
-                body = con.body
-                if isinstance(body, Clause):
-                    atom_groups = (con.guard, body.lits)
+            kind, lin = type(con), None
+            if kind is Implies:
+                guard, body = con
+                if type(body) is Clause:
+                    atom_groups = (guard, body[0])
                 else:
-                    atom_groups, lin = (con.guard,), body
-            elif isinstance(con, Clause):
-                atom_groups = (con.lits,)
-            elif isinstance(con, Lin):
+                    atom_groups, lin = (guard,), body
+            elif kind is Clause:
+                atom_groups = con  # the 1-tuple (lits,)
+            elif kind is Lin:
                 atom_groups, lin = (), con
-            elif isinstance(con, IffConj):
-                atom_groups = ((con.lit,), con.atoms)
+            elif kind is IffConj:
+                lit, atoms = con
+                atom_groups = ((lit,), atoms)
             else:
-                raise ModelFormatError(f"unknown constraint type {type(con).__name__}")
+                raise ModelFormatError(f"unknown constraint type {kind.__name__}")
             for atoms in atom_groups:
                 for a in atoms:
-                    if isinstance(a, Lit):
-                        if not 0 <= a.var < nb:
-                            raise ModelFormatError(f"boolean id {a.var} out of range")
-                    elif not 0 <= a.var < ni:
-                        raise ModelFormatError(f"integer id {a.var} out of range")
-                    elif a.op not in _CMP_OPS:
-                        raise ModelFormatError(f"bad comparison op {a.op!r}")
+                    if type(a) is Lit:
+                        if not 0 <= a[0] < nb:
+                            raise ModelFormatError(f"boolean id {a[0]} out of range")
+                        continue
+                    var, op, _ = a
+                    if not 0 <= var < ni:
+                        raise ModelFormatError(f"integer id {var} out of range")
+                    if op not in _CMP_OPS:
+                        raise ModelFormatError(f"bad comparison op {op!r}")
             if lin is not None:
-                if lin.op not in _LIN_OPS:
-                    raise ModelFormatError(f"bad linear op {lin.op!r}")
-                _check_terms(lin.terms, nb, ni)
+                terms, op, _ = lin
+                if op not in _LIN_OPS:
+                    raise ModelFormatError(f"bad linear op {op!r}")
+                _check_terms(terms, nb, ni)
         if self.objective is not None:
             _check_terms(self.objective, nb, ni)
 
@@ -214,6 +253,7 @@ class CspModel:
 # -- canonical text form ---------------------------------------------------
 
 
+@acyclic
 def export_model(m: CspModel) -> str:
     """Serialize to the canonical line format; equal models export to
     byte-identical text.  Each name must be one whitespace-free token.
@@ -309,6 +349,7 @@ def _check_last_count(count: Callable, tokens: list[str], i: int, line: str) -> 
         raise _count_error(tokens, i, line)
 
 
+@acyclic
 def parse_model(text: str) -> CspModel:
     """Parse the canonical text form back into an equal model.  Every
     declared count must match the tokens that follow it; any malformed line

@@ -45,6 +45,7 @@ from .cpmodel import (
     Lit,
     Memo,
     Term,
+    acyclic,
 )
 from .domain import ConstraintRel, Domain, FluentRole, SkillKind, lowers, raises_of
 from .theory import FLOW_TAGS, TheoryShape
@@ -643,6 +644,7 @@ class Encoder:
         return probe, n_stable, order
 
 
+@acyclic
 def encode(shape: TheoryShape, objective: str = "none") -> CspModel:
     """Pure function of (shape, objective): the model of one stage count,
     every row in place and every variable numbered as the shape numbers it."""

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .cpmodel import acyclic
 from .domain import Domain
 from .encoder import Encoder, cost_scale
 from .intervals import Interval
@@ -196,6 +197,7 @@ def _n_schedule(max_n: int, geometric: bool) -> Sequence[int]:
     return out
 
 
+@acyclic
 def find_plan(
     d: Domain,
     objective: str = "none",

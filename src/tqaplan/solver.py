@@ -59,6 +59,7 @@ from .cpmodel import (
     Lin,
     Lit,
     Term,
+    acyclic,
 )
 
 __all__ = [
@@ -113,38 +114,50 @@ class SolveResult:
 
 
 def _atom_holds(atom, bools, ints) -> bool:
-    if isinstance(atom, Lit):
-        return bools[atom.var] == atom.val
-    v = ints[atom.var]
-    if atom.op == LE:
-        return v <= atom.k
-    if atom.op == GE:
-        return v >= atom.k
-    return v == atom.k
+    if type(atom) is Lit:
+        var, val = atom
+        return bools[var] == val
+    var, op, k = atom
+    v = ints[var]
+    if op == LE:
+        return v <= k
+    if op == GE:
+        return v >= k
+    return v == k
+
+
+def _all_hold(atoms, bools, ints) -> bool:
+    for atom in atoms:
+        if not _atom_holds(atom, bools, ints):
+            return False
+    return True
 
 
 def _body_holds(body, bools, ints) -> bool:
-    if isinstance(body, Clause):
-        return any(_atom_holds(l, bools, ints) for l in body.lits)
+    if type(body) is Clause:
+        for lit in body[0]:
+            if _atom_holds(lit, bools, ints):
+                return True
+        return False
+    terms, op, const = body
     total = 0
-    for t in body.terms:
-        total += t.coef * (bools[t.var] if t.space == BOOL else ints[t.var])
-    return total <= body.const if body.op == LE else total == body.const
+    for coef, space, var in terms:
+        total += coef * (bools[var] if space == BOOL else ints[var])
+    return total <= const if op == LE else total == const
 
 
 def constraint_holds(con, bools, ints) -> bool:
     """Evaluate one constraint on a total assignment."""
-    if isinstance(con, (Clause, Lin)):
+    kind = type(con)
+    if kind is Implies:
+        guard, body = con
+        return not _all_hold(guard, bools, ints) or _body_holds(body, bools, ints)
+    if kind is Clause or kind is Lin:
         return _body_holds(con, bools, ints)
-    if isinstance(con, Implies):
-        if all(_atom_holds(a, bools, ints) for a in con.guard):
-            return _body_holds(con.body, bools, ints)
-        return True
-    if isinstance(con, IffConj):
-        return _atom_holds(con.lit, bools, ints) == all(
-            _atom_holds(a, bools, ints) for a in con.atoms
-        )
-    raise TypeError(f"unknown constraint {type(con).__name__}")
+    if kind is IffConj:
+        lit, atoms = con
+        return _atom_holds(lit, bools, ints) == _all_hold(atoms, bools, ints)
+    raise TypeError(f"unknown constraint {kind.__name__}")
 
 
 def check_assignment(m: CspModel, a: Assignment) -> bool:
@@ -282,10 +295,10 @@ class Engine:
         return out
 
     def _register(self, compiled, uids) -> None:
+        """Append a compiled row and watch its variables; the caller queues
+        it (:meth:`reset` queues every row that :meth:`load` compiles)."""
         idx = len(self.cons)
         self.cons.append(compiled)
-        self.queued.append(True)
-        self.queue.append(idx)
         uids = set(uids)
         for uid in uids:
             self.watchers[uid].append(idx)
@@ -558,9 +571,13 @@ class Engine:
         self.queued = [True] * len(self.cons)
 
     def add_bound(self, terms: tuple[Term, ...], const: int) -> None:
+        """Compile the row ``sum(terms) <= const`` and queue it to run first."""
         self._compile(Lin(terms, LE, const))
+        self.queued.append(True)
+        self.queue.append(len(self.cons) - 1)
 
 
+@acyclic
 def solve(
     m: CspModel,
     engine: Optional[Engine] = None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from tqaplan.cpmodel import (
     Lit,
     ModelFormatError,
     Term,
+    acyclic,
     export_model,
     parse_model,
 )
@@ -52,6 +54,25 @@ def test_round_trip_and_determinism():
     assert again == m
     assert export_model(again) == text
     assert export_model(sample_model()) == text
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_caller_gets_its_collector_state_back(enabled):
+    text = export_model(sample_model())
+
+    @acyclic
+    def nested():
+        return gc.isenabled(), parse_model(text)
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert nested() == (False, sample_model())
+        assert gc.isenabled() is enabled
+        with pytest.raises(ModelFormatError):
+            parse_model(text + "clause 1 +b9\n")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_empty_model_exports_header_only():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import random
 import sys
@@ -14,6 +15,7 @@ import pytest
 from randgen import random_tiny_domain
 from tqaplan.benchgen import GadgetSpec, gen_cushing
 from tqaplan.cli import CSV_COLUMNS, _run_record
+from tqaplan.cpmodel import export_model, parse_model
 from tqaplan.domain import parse_domain
 from tqaplan.encoder import cost_scale, encode
 from tqaplan.intervals import Interval
@@ -223,6 +225,41 @@ def test_per_probe_node_counts_are_pinned(monkeypatch, spec, objective, limits, 
     outcome = find_plan(gen_cushing(GadgetSpec(*spec)), objective, limits)
     value = outcome.plan.objective if outcome.found else None
     assert (outcome.status, outcome.n_found, value, nodes) == want
+
+
+@pytest.mark.parametrize(
+    "spec, objective", [(("I", 2, None), "none"), (("II", 1, 2), "makespan")], ids=["I-m2", "II-m1h2"]
+)
+def test_model_calls_leave_no_cyclic_garbage(spec, objective):
+    """The calls that pause the collector must free all their garbage by
+    reference counting: with it off, a collection afterwards finds none."""
+    domain = gen_cushing(GadgetSpec(*spec))
+    limits = SearchLimits(copy_cap=1)
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = find_plan(domain, objective, limits)
+        model = encode(instantiate(domain, outcome.n_found, 1), objective)
+        back = parse_model(export_model(model))
+        result = solve(back)
+        assert outcome.found and back == model and result.is_sat
+        del outcome, model, back, result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_collector_is_paused_inside_find_plan(monkeypatch):
+    enabled = []
+
+    def recording_solve(*args, **kwargs):
+        enabled.append(gc.isenabled())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("tqaplan.search.solve", recording_solve)
+    assert gc.isenabled()
+    assert find_plan(TINY, limits=SearchLimits(max_n=3)).found
+    assert enabled == [False] and gc.isenabled()
 
 
 def test_objective_values_descaled():
