@@ -268,23 +268,23 @@ def export_model(m: CspModel) -> str:
     spaced = Memo(lambda atom: " " + atom.token()).__getitem__
     join = "".join
 
-    def body(con: Union[Clause, Lin]) -> str:
-        if isinstance(con, Clause):
-            return f"clause {len(con.lits)}{join(map(spaced, con.lits))}"
-        return f"lin {con.op} {con.const} {len(con.terms)}{join(map(spaced, con.terms))}"
-
     lines = ["cspmodel 1"]
     lines += [f"bool {name}" for name in m.bool_names]
     lines += [f"int {lo} {hi} {name}" for name, lo, hi in m.int_decls]
     for con in m.constraints:
-        if isinstance(con, Implies):
-            guard = con.guard
-            lines.append(f"imp {len(guard)}{join(map(spaced, guard))} {body(con.body)}")
-        elif isinstance(con, IffConj):
-            atoms = con.atoms
-            lines.append(f"iff{spaced(con.lit)} {len(atoms)}{join(map(spaced, atoms))}")
-        else:
-            lines.append(body(con))
+        kind, line = type(con), ""
+        if kind is Implies:
+            guard, con = con
+            kind, line = type(con), f"imp {len(guard)}{join(map(spaced, guard))} "
+        if kind is Clause:
+            (lits,) = con
+            lines.append(f"{line}clause {len(lits)}{join(map(spaced, lits))}")
+        elif kind is Lin:
+            terms, op, const = con
+            lines.append(f"{line}lin {op} {const} {len(terms)}{join(map(spaced, terms))}")
+        else:  # IffConj: check_well_formed let through only the four row types
+            lit, atoms = con
+            lines.append(f"iff{spaced(lit)} {len(atoms)}{join(map(spaced, atoms))}")
     if m.objective is not None:
         lines.append(f"minimize {len(m.objective)}{join(map(spaced, m.objective))}")
     return "\n".join(lines) + "\n"

@@ -16,9 +16,10 @@ g1 or ... or not gn or body)``; a reified conjunction ``lit <-> a1 and ...
 and an`` is the clause ``(not a1 or ... or not an or lit)`` plus the
 binary clauses ``(not lit or ai)``, kept in one row; and a linear row, an
 exactly-one among them, is a clause with no literals and the row as its
-body.  One propagator runs every clause, and ``_force`` tightens every
-bound.  A model that grows keeps its compiled rows: only new rows and a
-per-model tail are compiled.
+body.  One loop compiles new rows, with one dispatch on each row's type,
+and one loop, ``propagate``, runs every clause; ``_prop_lin_le`` tightens
+linear halves, and ``_force`` is the one place a bound changes.  A model
+that grows keeps its compiled rows: only new rows and a tail are compiled.
 
 Propagation runs rows from two queues.  A bound change wakes the rows
 that watch its variable into a FIFO queue, which runs oldest first; the
@@ -161,7 +162,11 @@ def constraint_holds(con, bools, ints) -> bool:
 
 
 def check_assignment(m: CspModel, a: Assignment) -> bool:
-    return all(constraint_holds(con, a.bools, a.ints) for con in m.constraints)
+    bools, ints = a.bools, a.ints
+    for con in m.constraints:
+        if not constraint_holds(con, bools, ints):
+            return False
+    return True
 
 
 def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
@@ -176,26 +181,22 @@ def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
 # -- propagation engine -------------------------------------------------------
 
 
-def _negated(lits: list[tuple[int, bool, int]]) -> list[tuple[int, bool, int]]:
-    """not (x >= k) is x <= k - 1, and not (x <= k) is x >= k + 1."""
-    return [(uid, False, k - 1) if ge else (uid, True, k + 1) for uid, ge, k in lits]
-
-
 class Engine:
     """Trail-based propagation and chronological backtracking search.
 
     Each variable gets a uid when the engine first meets it, so compiled
     rows stay valid while the model grows.  :meth:`load` takes on a larger
-    model: its rows past the stable ones compiled so far are compiled once,
-    and the rest form a tail that replaces the previous one.  A bound
-    literal is ``(uid, ge, k)``: ``x >= k`` when ``ge``, else ``x <= k``.
-    A row is a tuple of clauses ``(lits, body)``: the bound literals
-    ``lits``, or ``body`` when it is not None, a linear body: the halves
-    ``(terms, const)``, each ``sum(c * x) <= const``, one for ``<=`` and
-    two for ``=``.  Compiled rows share their tuples: ``shared`` holds the
-    one tuple for each distinct bound literal, term pair and terms tuple.
-    Only :meth:`_force` tightens a bound and pushes a trail entry ``(uid,
-    ge, old bound)``.
+    model: one pass of :meth:`_compile` compiles its rows past the stable
+    ones compiled so far, and the rest form a tail that replaces the
+    previous one.  A bound literal ``(uid, ge, k)`` is ``x >= k`` when
+    ``ge``, else ``x <= k``.  A row is a tuple of clauses ``(lits, body)``:
+    the bound literals ``lits``, or ``body`` when it is not None, a linear
+    body of halves ``(terms, const)``, each ``sum(c * x) <= const``, one
+    for ``<=`` and two for ``=``.  ``shared`` holds the one tuple for each
+    distinct bound literal, term pair and terms tuple of compiled rows.
+    :meth:`propagate` runs every clause itself, :meth:`_prop_lin_le`
+    tightens the halves of a body, and only :meth:`_force` tightens a
+    bound and pushes a trail entry ``(uid, ge, old bound)``.
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
@@ -254,8 +255,7 @@ class Engine:
         for uid, (_, d_lo, d_hi) in zip(self.int_uid, model.int_decls):
             lo[uid], hi[uid] = d_lo, d_hi
         self.n_stable = n_stable
-        for con in itertools.islice(model.constraints, cut, None):
-            self._compile(con)
+        self._compile(itertools.islice(model.constraints, cut, None))
         self.model = model
         self.root_queue = list(range(len(self.cons))) if queue_order is None else queue_order
         self.trail = []
@@ -275,76 +275,81 @@ class Engine:
 
     # -- compilation --------------------------------------------------------
 
-    def _literals(self, atoms) -> list[tuple[int, bool, int]]:
-        """The bound literals whose conjunction is that of ``atoms``."""
-        bool_uid, int_uid = self.bool_uid, self.int_uid
-        out = []
-        for a in atoms:
-            if type(a) is Lit:
-                var, val = a
-                out.append((bool_uid[var], True, 1) if val else (bool_uid[var], False, 0))
-                continue
-            var, op, k = a
-            uid = int_uid[var]
-            if op == LE:
-                out.append((uid, False, k))
-            elif op == GE:
-                out.append((uid, True, k))
-            else:
-                out += ((uid, True, k), (uid, False, k))
-        return out
-
-    def _register(self, compiled, uids) -> None:
-        """Append a compiled row and watch its variables; the caller queues
-        it (:meth:`reset` queues every row that :meth:`load` compiles)."""
-        idx = len(self.cons)
-        self.cons.append(compiled)
-        uids = set(uids)
-        for uid in uids:
-            self.watchers[uid].append(idx)
-        if idx >= self.n_stable:
-            self.tail_uids.extend(uids)
-
-    def _compile(self, con) -> None:
-        # every tuple built here is replaced by the engine's one tuple equal
-        # to it: share(x, x) for each x of a list xs is map(share, xs, xs)
+    def _compile(self, rows) -> None:
+        """Compile each of ``rows`` to a tuple of clauses, append it to
+        ``cons`` and to the watch list of each variable it reads, once; the
+        caller queues it.  Every tuple built here is replaced by the engine's
+        one tuple equal to it: share(x, x) for each x of xs is map(share, xs, xs)."""
         share = self.shared.setdefault
-        if isinstance(con, IffConj):
-            # lit <-> a1 and ... and an: the clause (not a1 or ... or lit)
-            # and the binary clauses (not lit or ai)
-            lit, atoms = con
-            (lit,) = self._literals((lit,))
-            (not_lit,) = _negated([lit])
-            atoms = self._literals(atoms)
-            clause = _negated(atoms) + [lit]
-            not_lit = share(not_lit, not_lit)
-            clauses = [tuple(map(share, clause, clause))]
-            clauses += [(not_lit, a) for a in map(share, atoms, atoms)]
-            self._register(tuple((c, None) for c in clauses), [u for u, _, _ in clause])
-            return
-        # (g1 and ... and gn) -> body is (not g1 or ... or not gn or body)
-        guard: tuple = ()
-        if isinstance(con, Implies):
-            guard, con = con
-            guard = _negated(self._literals(guard))
-            guard = tuple(map(share, guard, guard))
-        if isinstance(con, Clause):
-            lits = self._literals(con.lits)
-            clause = guard + tuple(map(share, lits, lits))
-            self._register(((clause, None),), [u for u, _, _ in clause])
-            return
-        # a linear row, guarded or not, is the body of that clause: sum <= k,
-        # or for an equality sum = k the pair of halves sum <= k, -sum <= -k
-        terms, op, const = con
         bool_uid, int_uid = self.bool_uid, self.int_uid
-        pairs = [(c, bool_uid[v] if s == BOOL else int_uid[v]) for c, s, v in terms]
-        terms = tuple(map(share, pairs, pairs))
-        body = ((share(terms, terms), const),)
-        if op == EQ:
-            pairs = [(-c, u) for c, u in terms]
-            neg = tuple(map(share, pairs, pairs))
-            body += ((share(neg, neg), -const),)
-        self._register(((guard, body),), [u for u, _, _ in guard] + [u for _, u in terms])
+        cons, watchers, tail_uids = self.cons, self.watchers, self.tail_uids
+        n_stable, idx = self.n_stable, len(cons)
+        for con in rows:
+            kind = type(con)
+            lits = []  # the clause's bound literals, so far
+            if kind is Implies:
+                # (g1 and ... and gn) -> body is (not g1 or ... or not gn or body)
+                guard, con = con
+                kind = type(con)
+                for a in guard:
+                    if type(a) is Lit:
+                        var, val = a
+                        lits.append((bool_uid[var], False, 0) if val else (bool_uid[var], True, 1))
+                        continue
+                    var, op, k = a
+                    uid = int_uid[var]
+                    if op != LE:
+                        lits.append((uid, False, k - 1))
+                    if op != GE:
+                        lits.append((uid, True, k + 1))
+            if kind is Lin:
+                # a linear row, guarded or not, is the body of that clause:
+                # sum <= k, or for sum = k the pair of halves sum <= k, -sum <= -k
+                terms, op, const = con
+                pairs = [(c, bool_uid[v] if s == BOOL else int_uid[v]) for c, s, v in terms]
+                terms = tuple(map(share, pairs, pairs))
+                body = ((share(terms, terms), const),)
+                if op == EQ:
+                    pairs = [(-c, u) for c, u in terms]
+                    neg = tuple(map(share, pairs, pairs))
+                    body += ((share(neg, neg), -const),)
+                clause = tuple(map(share, lits, lits))
+                row = ((clause, body),)
+                uids = [u for u, _, _ in clause] + [u for _, u in terms]
+            else:
+                # a clause's literals, or the atoms a1 ... an of lit <-> a1 and
+                # ... and an: the clause (not a1 or ... or not an or lit) and
+                # the binary clauses (not lit or ai)
+                for a in con[0] if kind is Clause else con[1]:
+                    if type(a) is Lit:
+                        var, val = a
+                        lits.append((bool_uid[var], True, 1) if val else (bool_uid[var], False, 0))
+                        continue
+                    var, op, k = a
+                    uid = int_uid[var]
+                    if op != LE:
+                        lits.append((uid, True, k))
+                    if op != GE:
+                        lits.append((uid, False, k))
+                lits = tuple(map(share, lits, lits))
+                if kind is Clause:
+                    row = ((lits, None),)
+                else:
+                    var, val = con[0]
+                    lit = (bool_uid[var], True, 1) if val else (bool_uid[var], False, 0)
+                    nots = [(u, not ge, k - 1 if ge else k + 1) for u, ge, k in (*lits, lit)]
+                    not_lit, nots[-1] = share(nots[-1], nots[-1]), lit  # the clause ends in lit
+                    row = ((tuple(map(share, nots, nots)), None),)
+                    row += tuple([((not_lit, a), None) for a in lits])
+                uids = [u for u, _, _ in row[0][0]]
+            cons.append(row)
+            for uid in uids:
+                watch = watchers[uid]
+                if not watch or watch[-1] != idx:
+                    watch.append(idx)
+            if idx >= n_stable:
+                tail_uids += uids
+            idx += 1
 
     # -- domain updates -------------------------------------------------------
 
@@ -376,42 +381,6 @@ class Engine:
                 queue.append(idx)
 
     # -- constraint propagation -------------------------------------------------
-
-    def _prop_clause(self, lits, body) -> bool:
-        """Propagate the clause ``lits or body``, where ``body`` is None or
-        a tuple of halves ``(terms, const)``.  True when the clause holds
-        under current bounds, so the row may sleep on the trail."""
-        lo, hi = self.lo, self.hi
-        unknown = None
-        for lit in lits:
-            uid, ge, k = lit
-            if ge:
-                if lo[uid] >= k:
-                    return True
-                if hi[uid] < k:
-                    continue
-            else:
-                if hi[uid] <= k:
-                    return True
-                if lo[uid] > k:
-                    continue
-            if unknown is not None:
-                return False
-            unknown = lit
-        if body is not None:
-            if unknown is None:
-                return self._prop_lin_le(body)
-            for terms, const in body:
-                if self._lin_min(terms) > const:
-                    break
-            else:  # no half is refuted, so the body may still hold
-                return False
-        elif unknown is None:
-            self.conflict = True
-            return False
-        # every other disjunct is false: the one open literal must hold
-        self._force(*unknown)
-        return True
 
     def _prop_lin_le(self, body) -> bool:
         """Tighten bounds so that every half ``sum(c * x) <= const`` of
@@ -450,15 +419,10 @@ class Engine:
                             return False
         return done
 
-    def _lin_min(self, terms) -> int:
-        """The least value of ``sum(c * x)`` within current bounds."""
-        lo, hi = self.lo, self.hi
-        mn = 0
-        for coef, uid in terms:
-            mn += coef * (lo[uid] if coef > 0 else hi[uid])
-        return mn
-
     def propagate(self) -> bool:
+        """Run woken rows, then the root sweep, to a fixpoint, each clause
+        ``lits or body`` of a row in this loop; False on a conflict."""
+        lo, hi, force, prop_lin_le = self.lo, self.hi, self._force, self._prop_lin_le
         queue, pending, queued, cons = self.queue, self.pending, self.queued, self.cons
         sleepers, trail = self.sleepers, self.trail
         while not self.conflict:
@@ -471,12 +435,46 @@ class Engine:
             # still marked queued while it runs, so its own bound changes do
             # not wake it; it goes back to the queue only if it may force more
             mark = len(trail)
-            done = True
+            done = True  # every clause holds under current bounds
             for lits, body in cons[idx]:
-                if not self._prop_clause(lits, body):
-                    if self.conflict:
+                unknown = None  # the one open literal
+                for lit in lits:
+                    uid, ge, k = lit
+                    if ge:
+                        if lo[uid] >= k:
+                            break
+                        if hi[uid] < k:
+                            continue
+                    elif hi[uid] <= k:
                         break
-                    done = False
+                    elif lo[uid] > k:
+                        continue
+                    if unknown is not None:
+                        done = False
+                        break
+                    unknown = lit
+                else:  # no literal holds, and at most one is open
+                    if body is not None:
+                        if unknown is None:
+                            if not prop_lin_le(body):
+                                if self.conflict:
+                                    break
+                                done = False
+                            continue
+                        for terms, const in body:
+                            mn = 0  # the least value of sum(c * x)
+                            for coef, uid in terms:
+                                mn += coef * (lo[uid] if coef > 0 else hi[uid])
+                            if mn > const:
+                                break
+                        else:  # no half is refuted, so the body may still hold
+                            done = False
+                            continue
+                    elif unknown is None:
+                        self.conflict = True
+                        break
+                    # every other disjunct is false: the one open literal must hold
+                    force(*unknown)
             if self.conflict:
                 queued[idx] = False
             elif done:  # marked queued, an entailed row sleeps until _undo_to
@@ -497,12 +495,12 @@ class Engine:
 
     def _undo_to(self, mark: int) -> None:
         trail, lo, hi = self.trail, self.lo, self.hi
-        while len(trail) > mark:
-            uid, changed_lo, old = trail.pop()
+        for uid, changed_lo, old in reversed(trail[mark:]):
             if changed_lo:
                 lo[uid] = old
             else:
                 hi[uid] = old
+        del trail[mark:]
         sleepers, queued = self.sleepers, self.queued
         while sleepers and sleepers[-1][0] > mark:
             queued[sleepers.pop()[1]] = False
@@ -572,7 +570,7 @@ class Engine:
 
     def add_bound(self, terms: tuple[Term, ...], const: int) -> None:
         """Compile the row ``sum(terms) <= const`` and queue it to run first."""
-        self._compile(Lin(terms, LE, const))
+        self._compile((Lin(terms, LE, const),))
         self.queued.append(True)
         self.queue.append(len(self.cons) - 1)
 
@@ -641,16 +639,18 @@ def brute_force_solve(m: CspModel, guard: int = 1 << 24) -> SolveResult:
 
     def max_ref(con) -> int:
         """The last variable a row mentions (Booleans first), or -1."""
-        atoms: tuple = ()
-        if isinstance(con, Implies):
-            atoms, con = con.guard, con.body
-        if isinstance(con, IffConj):
-            atoms = (con.lit, *con.atoms)
-        elif isinstance(con, Clause):
-            atoms += con.lits
-        uids = [a.var if isinstance(a, Lit) else nb + a.var for a in atoms]
-        if isinstance(con, Lin):
-            uids += [t.var if t.space == BOOL else nb + t.var for t in con.terms]
+        kind, atoms, terms = type(con), (), ()
+        if kind is Implies:
+            atoms, con = con
+            kind = type(con)
+        if kind is Clause:
+            atoms += con[0]
+        elif kind is Lin:
+            terms = con[0]
+        else:  # IffConj: check_well_formed let through only the four row types
+            atoms = (con[0], *con[1])
+        uids = [a[0] if type(a) is Lit else nb + a[0] for a in atoms]
+        uids += [var if space == BOOL else nb + var for _, space, var in terms]
         return max(uids, default=-1)
 
     by_last_var: list[list] = [[] for _ in range(nv + 1)]

@@ -34,7 +34,7 @@ from tqaplan.solver import (
     objective_value,
     solve,
 )
-from tqaplan.encoder import encode
+from tqaplan.encoder import Encoder, encode
 from tqaplan.theory import instantiate
 
 
@@ -458,3 +458,41 @@ def test_rows_sleep_once_and_never_run_asleep():
         assert (res.status, res.nodes, res.objective) == (plain.status, plain.nodes, plain.objective)
         statuses.add(res.status)
     assert statuses == {"sat", "unsat"}
+
+
+
+# sha256 over the compiled rows, watch lists and shared-tuple count of
+# Engine(m) on four models and of each probe of a grown engine, and the rows
+# that engine's search ran, computed on the engine whose compile went through
+# _literals, _negated and _register, and whose propagate called _prop_clause
+# and _lin_min per clause
+COMPILED_ROWS_DIGEST = "b1e39b75b94584e0f0b282c52394ab31d2c5c99e2a0ccdfe612d1ed2efb5bf7c"
+
+
+def test_compiled_rows_are_pinned():
+    """The engine compiles every row to the same clauses, watches the same
+    variables, shares the same tuples and runs the same rows in search."""
+    digest = hashlib.sha256()
+
+    def pin(engine: Engine) -> None:
+        digest.update(repr((engine.cons, engine.watchers, len(engine.shared))).encode())
+
+    for spec, n, cap, horizon, objective in [
+        (("I", 50, None), 4, 1, None, "none"),
+        (("II", 3, 3), 14, 1, None, "makespan"),
+        (("III", 3, 3), 17, 1, None, "costs"),
+        (("II", 1, 2), 9, 2, 22, "none"),
+    ]:
+        domain = gen_cushing(GadgetSpec(*spec))
+        pin(Engine(encode(instantiate(domain, n, cap, horizon), objective)))
+    domain = gen_cushing(GadgetSpec("II", 1, 2))
+    grower, engine = Encoder("none", 2), Engine()
+    engine.cons = _RowReads()
+    engine.cons.ran = []
+    for n in range(1, 10):
+        model, n_stable, order = grower.advance(instantiate(domain, n, 2, 22))
+        engine.load(model, n_stable, order)
+        pin(engine)
+        solve(model, engine)
+    digest.update(repr(len(engine.cons.ran)).encode())
+    assert digest.hexdigest() == COMPILED_ROWS_DIGEST
