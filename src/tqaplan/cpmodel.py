@@ -227,6 +227,8 @@ class CspModel:
                 atom_groups, lin = (), con
             elif kind is IffConj:
                 lit, atoms = con
+                if type(lit) is not Lit:
+                    raise ModelFormatError(f"iff row: expected a boolean literal, got {lit!r}")
                 atom_groups = ((lit,), atoms)
             else:
                 raise ModelFormatError(f"unknown constraint type {kind.__name__}")

@@ -299,13 +299,15 @@ def parse_domain(text: str) -> Domain:
         tuple(fluents), tuple(skills), actors, frozenset(interference),
         tuple(temporal_actions), init, goal,
     )
-    _check_references(domain)
+    check_references(domain)
     return domain
 
 
-def _check_references(d: Domain) -> None:
+def check_references(d: Domain) -> None:
     """Reject duplicate names and dangling references outright; softer
-    structural issues go through validate_domain diagnostics."""
+    structural issues go through validate_domain diagnostics.  parse_domain
+    runs it on every document, instantiate and enumerate_models on every
+    domain, however it was built."""
     fluent_names = [f.name for f in d.fluents]
     if len(set(fluent_names)) != len(fluent_names):
         dup = sorted({n for n in fluent_names if fluent_names.count(n) > 1})

@@ -18,8 +18,11 @@ binary clauses ``(not lit or ai)``, kept in one row; and a linear row, an
 exactly-one among them, is a clause with no literals and the row as its
 body.  One loop compiles new rows, with one dispatch on each row's type,
 and one loop, ``propagate``, runs every clause; ``_prop_lin_le`` tightens
-linear halves, and ``_force`` is the one place a bound changes.  A model
-that grows keeps its compiled rows: only new rows and a tail are compiled.
+linear halves, and ``_force`` is the one place a bound changes.  ``_force``
+is only given open literals, so it tightens a bound and cannot conflict: a
+conflict is found only in ``propagate``, at a clause whose literals are all
+false and whose body, if any, has a refuted linear half.  A model that
+grows keeps its compiled rows: only new rows and a tail are compiled.
 
 Propagation runs rows from two queues.  A bound change wakes the rows
 that watch its variable into a FIFO queue, which runs oldest first; the
@@ -194,9 +197,11 @@ class Engine:
     body of halves ``(terms, const)``, each ``sum(c * x) <= const``, one
     for ``<=`` and two for ``=``.  ``shared`` holds the one tuple for each
     distinct bound literal, term pair and terms tuple of compiled rows.
-    :meth:`propagate` runs every clause itself, :meth:`_prop_lin_le`
-    tightens the halves of a body, and only :meth:`_force` tightens a
-    bound and pushes a trail entry ``(uid, ge, old bound)``.
+    :meth:`propagate` runs every clause itself and returns False on a
+    conflict, :meth:`_prop_lin_le` tightens the halves of a body and
+    reports a refuted one, and only :meth:`_force` tightens a bound and
+    pushes a trail entry ``(uid, ge, old bound)``; it takes open literals
+    only, so it never fails.
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
@@ -219,7 +224,6 @@ class Engine:
         self.queue: deque[int] = deque()  # woken rows, oldest first
         self.pending: list[int] = []  # the root sweep, from its end
         self.sleepers: list[tuple[int, int]] = []  # (trail length, row)
-        self.conflict = False
         self.nodes = 0
         self.order: Optional[list[int]] = None
         self.shared: dict[tuple, tuple] = {}
@@ -355,23 +359,15 @@ class Engine:
 
     def _force(self, uid: int, ge: bool, k: int) -> None:
         """Tighten ``x >= k`` when ``ge``, else ``x <= k``: the one place a
-        bound changes.  The old bound goes on the trail and the rows that
-        watch ``x`` wake; a bound past the other one is a conflict."""
+        bound changes.  Every caller passes an open literal, ``lo < k <= hi``
+        for ``x >= k`` and ``lo <= k < hi`` for ``x <= k``, so the bound
+        tightens and cannot conflict.  The old bound goes on the trail and
+        the rows that watch ``x`` wake."""
         lo, hi = self.lo, self.hi
         if ge:
-            if k <= lo[uid]:
-                return
-            if k > hi[uid]:
-                self.conflict = True
-                return
             self.trail.append((uid, True, lo[uid]))
             lo[uid] = k
         else:
-            if k >= hi[uid]:
-                return
-            if k < lo[uid]:
-                self.conflict = True
-                return
             self.trail.append((uid, False, hi[uid]))
             hi[uid] = k
         queued, queue = self.queued, self.queue
@@ -382,10 +378,11 @@ class Engine:
 
     # -- constraint propagation -------------------------------------------------
 
-    def _prop_lin_le(self, body) -> bool:
+    def _prop_lin_le(self, body) -> Optional[bool]:
         """Tighten bounds so that every half ``sum(c * x) <= const`` of
         ``body`` can hold.  True when all are entailed under current bounds,
-        so the row may sleep on the trail."""
+        so the row may sleep on the trail; False while one is still open;
+        None when one is refuted."""
         lo, hi = self.lo, self.hi
         done = True
         for terms, const in body:
@@ -400,8 +397,7 @@ class Engine:
             if mx <= const:
                 continue
             if mn > const:
-                self.conflict = True
-                return False
+                return None
             done = False
             slack = const - mn
             for coef, uid in terms:
@@ -409,29 +405,28 @@ class Engine:
                     limit = lo[uid] + slack // coef
                     if limit < hi[uid]:
                         self._force(uid, False, limit)
-                        if self.conflict:
-                            return False
                 else:
                     limit = hi[uid] - slack // (-coef)
                     if limit > lo[uid]:
                         self._force(uid, True, limit)
-                        if self.conflict:
-                            return False
         return done
 
     def propagate(self) -> bool:
         """Run woken rows, then the root sweep, to a fixpoint, each clause
-        ``lits or body`` of a row in this loop; False on a conflict."""
+        ``lits or body`` of a row in this loop; False on a conflict: a clause
+        whose literals are all false and whose body, if any, has a refuted
+        half."""
         lo, hi, force, prop_lin_le = self.lo, self.hi, self._force, self._prop_lin_le
         queue, pending, queued, cons = self.queue, self.pending, self.queued, self.cons
         sleepers, trail = self.sleepers, self.trail
-        while not self.conflict:
+        conflict = False
+        while True:
             if queue:
                 idx = queue.popleft()
             elif pending:
                 idx = pending.pop()
             else:
-                break
+                return True
             # still marked queued while it runs, so its own bound changes do
             # not wake it; it goes back to the queue only if it may force more
             mark = len(trail)
@@ -456,9 +451,11 @@ class Engine:
                 else:  # no literal holds, and at most one is open
                     if body is not None:
                         if unknown is None:
-                            if not prop_lin_le(body):
-                                if self.conflict:
-                                    break
+                            held = prop_lin_le(body)
+                            if held is None:
+                                conflict = True
+                                break
+                            if not held:
                                 done = False
                             continue
                         for terms, const in body:
@@ -471,25 +468,23 @@ class Engine:
                             done = False
                             continue
                     elif unknown is None:
-                        self.conflict = True
+                        conflict = True
                         break
                     # every other disjunct is false: the one open literal must hold
                     force(*unknown)
-            if self.conflict:
+            if conflict:
                 queued[idx] = False
-            elif done:  # marked queued, an entailed row sleeps until _undo_to
+                for idx in itertools.chain(queue, pending):
+                    queued[idx] = False
+                queue.clear()
+                pending.clear()
+                return False
+            if done:  # marked queued, an entailed row sleeps until _undo_to
                 sleepers.append((len(trail), idx))
             elif len(trail) > mark:
                 queue.append(idx)
             else:
                 queued[idx] = False
-        if self.conflict:
-            for idx in itertools.chain(queue, pending):
-                queued[idx] = False
-            queue.clear()
-            pending.clear()
-            return False
-        return True
 
     # -- search ------------------------------------------------------------------
 
@@ -504,7 +499,6 @@ class Engine:
         sleepers, queued = self.sleepers, self.queued
         while sleepers and sleepers[-1][0] > mark:
             queued[sleepers.pop()[1]] = False
-        self.conflict = False
 
     def _next_var(self, start: int) -> int:
         order, lo, hi = self.order, self.lo, self.hi

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .domain import Domain, Skill, TemporalAction, validate_domain
+from .domain import Domain, Skill, TemporalAction, check_references, validate_domain
 
 
 class InvalidDomainError(ValueError):
@@ -111,9 +111,11 @@ def instantiate(
 ) -> TheoryShape:
     """Build the index tables for the theory with ``n_stages`` dateline stages.
 
-    Raises InvalidDomainError on a domain with diagnostics, ValueError on a
+    Raises DomainFormatError on a duplicate name or a dangling reference,
+    InvalidDomainError on a domain with diagnostics, ValueError on a
     non-positive stage count or a horizon smaller than the stage count.
     """
+    check_references(domain)
     diags = validate_domain(domain)
     if diags:
         raise InvalidDomainError(diags)

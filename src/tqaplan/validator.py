@@ -24,6 +24,7 @@ from .domain import (
     Domain,
     Skill,
     SkillKind,
+    check_references,
     lowers,
     raises_of,
     validate_domain,
@@ -263,8 +264,6 @@ def validate_plan(d: Domain, plan: Plan) -> ValidationReport:
                     f"delay {key.name!r} spans {end - start}, declared {skill.duration}",
                 )
             )
-        if skill.kind is SkillKind.TIMER and end - start < 1:
-            add(Violation("duration", (key.label(),), f"timer {key.name!r} spans nothing"))
         for spec in skill.constraints:
             if not _window_ok(spec.rel, contexts[spec.fluent], start, end):
                 add(
@@ -452,6 +451,7 @@ def enumerate_models(
     This is the semantic ground truth the encoder is tested against; it
     shares only the validation rules, never the constraint encoding.
     """
+    check_references(d)
     diags = validate_domain(d)
     if diags:
         raise InvalidDomainError(diags)
@@ -569,20 +569,11 @@ def enumerate_models(
     for boundaries in boundary_vectors:
         total = boundaries[-1]
         for chosen in itertools.product(*per_b_options[boundaries]):
+            # copies of one ground action never overlap: _span_sets yields
+            # ordered disjoint spans, and a component follows only its parent
             entries: dict[ActionKey, tuple[int, int]] = {}
-            overlapping = False
             for part in chosen:
                 entries.update(part)
-            by_ground: dict[tuple[str, int], list] = {}
-            for key, span in entries.items():
-                by_ground.setdefault((key.name, key.actor), []).append(span)
-            for spans in by_ground.values():
-                spans.sort()
-                if any(e1 > s2 for (_, e1), (s2, _) in zip(spans, spans[1:])):
-                    overlapping = True
-                    break
-            if overlapping:
-                continue
             makespan = max((end for _, end in entries.values()), default=0)
             if (
                 objective == "makespan"

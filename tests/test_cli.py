@@ -316,3 +316,137 @@ def test_whitespace_in_a_domain_name_is_an_input_error(tmp_path, capsys, kind):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         # the message names the domain entity, not a model variable
         assert f"[name-without-whitespace] {kind} " in captured.err
+
+
+def _skill(**fields) -> dict:
+    return {"name": "a", "kind": "delay", "duration": 2, **fields}
+
+
+def _domain(**doc) -> str:
+    return json.dumps({"fluents": ["g"], "skills": [_skill(raises=["g"])], **doc})
+
+
+def _one_skill(**fields) -> str:
+    return _domain(skills=[_skill(**fields)])
+
+
+# a domain document parse_domain, its reference checks or validate_domain
+# rejects, and the one-line message that names why
+DOMAIN_REJECTIONS = {
+    "invalid-json": ('{"fluents": [', "$: not valid JSON"),
+    "top-level": ("[]", "$: top level must be an object"),
+    "cost-string": (_one_skill(cost="1/x"), "cost: not a rational: '1/x'"),
+    "cost-zero-denominator": (_one_skill(cost="1/0"), "not a rational: '1/0'"),
+    "cost-float": (_one_skill(cost=1.5), "a 'p/q' string, got 1.5"),
+    "cost-bool": (_one_skill(cost=True), "cost must be an integer or a 'p/q' string"),
+    "fluent-entry": (_domain(fluents=[3]), "$.fluents[0]: expected a name or an object"),
+    "role": (_domain(fluents=[{"name": "g", "role": "gas"}]), "role: unknown role 'gas'"),
+    "skill-entry": (_domain(skills=[3]), "$.skills[0]: expected an object"),
+    "kind": (_one_skill(kind="instant"), "expected 'timer' or 'delay', got 'instant'"),
+    "timer-duration": (_one_skill(kind="timer"), "timers take no fixed duration"),
+    "duration-float": (_one_skill(duration=1.5), "duration: expected an integer, got 1.5"),
+    "duration-bool": (_one_skill(duration=True), "expected an integer, got True"),
+    "actors-not-a-list": (_one_skill(actors=1), "actors: expected a list, got int"),
+    "actor-string": (_one_skill(actors=["1"]), "actors: expected integers, got '1'"),
+    "constraint-entry": (_one_skill(constraints=[3]), "constraints[0]: expected an object"),
+    "rel": (
+        _one_skill(constraints=[{"fluent": "g", "rel": "meets"}]),
+        "expected contains|overlaps|equals, got 'meets'",
+    ),
+    "pair-size": (_domain(interference=[["g"]]), "[0]: expected a pair, got 1 elements"),
+    "pair-entry": (_domain(interference=[["g", 1]]), "expected a string, got int"),
+    "temporal-action-entry": (_domain(temporal_actions=[3]), "actions[0]: expected an object"),
+    "duplicate-skill": (_domain(skills=[_skill(), _skill()]), "duplicate skill names: ['a']"),
+    "temporal-action-named-as-a-skill": (
+        _domain(temporal_actions=[{"name": "a", "skills": ["a"]}]),
+        "temporal action names must be fresh and unique",
+    ),
+    "duplicate-temporal-action": (
+        _domain(
+            skills=[_skill(), _skill(name="b")],
+            temporal_actions=[{"name": "t", "skills": ["a"]}, {"name": "t", "skills": ["b"]}],
+        ),
+        "temporal action names must be fresh and unique",
+    ),
+    "constraint-fluent": (
+        _one_skill(constraints=[{"fluent": "q", "rel": "contains"}]),
+        "$.skills[a].constraints: unknown fluent 'q'",
+    ),
+    "raised-fluent": (_one_skill(raises=["q"]), "$.skills[a].raises: unknown fluent 'q'"),
+    "goal-fluent": (_domain(goal=["q"]), "$.init/goal: unknown fluent 'q'"),
+    "component-skill": (
+        _domain(temporal_actions=[{"name": "t", "skills": ["a", "b"]}]),
+        "$.temporal_actions[t]: unknown skill 'b'",
+    ),
+    "negative-cost": (_one_skill(cost=-1), "[non-negative-cost] skill 'a' has cost -1"),
+    "actor-out-of-range": (_one_skill(actors=[3]), "[actor-range] skill 'a' names actors [3]"),
+    "no-actor": (_one_skill(actors=[]), "[actor-range] skill 'a' restricts to no actor"),
+    "empty-temporal-action": (
+        _domain(temporal_actions=[{"name": "t", "skills": []}]),
+        "[temporal-action-nonempty] 't' aggregates no skills",
+    ),
+    "repeated-component": (
+        _domain(temporal_actions=[{"name": "t", "skills": ["a", "a"]}]),
+        "[skill-single-aggregate] 't' repeats a skill in its sequence",
+    ),
+    "component-with-actors": (
+        _domain(
+            actors=2, skills=[_skill(actors=[1])], temporal_actions=[{"name": "t", "skills": ["a"]}]
+        ),
+        "[temporal-action-actors] skill 'a' in 't' must be available to every actor",
+    ),
+}
+
+
+def _rejected(argv, capsys) -> str:
+    """Run a command that must reject its input; its one error line."""
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("text, message", DOMAIN_REJECTIONS.values(), ids=DOMAIN_REJECTIONS.keys())
+def test_a_rejected_domain_is_an_input_error(tmp_path, capsys, text, message):
+    domain = tmp_path / "d.json"
+    domain.write_text(text)
+    assert message in _rejected(["solve", domain], capsys)
+
+
+def _plan(**doc) -> str:
+    segments = [{"truth": False, "start": 0, "end": 2}]
+    return json.dumps({"n": 1, "boundaries": [0, 2], "fluents": {"g": segments}, **doc})
+
+
+# a plan document plan_from_document rejects, and its one-line message
+PLAN_REJECTIONS = {
+    "top-level": ("[]", "top level must be an object"),
+    "boundaries-not-a-list": (_plan(boundaries=2), "'boundaries' must be a list of integers"),
+    "first-boundary": (_plan(boundaries=[1, 2]), "the dateline starts at time 0"),
+    "fluents-not-an-object": (_plan(fluents=[]), "'fluents' must map names to segment lists"),
+    "segments-do-not-tile": (
+        _plan(
+            fluents={
+                "g": [{"truth": False, "start": 0, "end": 1}, {"truth": True, "start": 0, "end": 2}]
+            }
+        ),
+        "segments of 'g' must tile [0, end) in order",
+    ),
+    "segments-stop-short": (
+        _plan(fluents={"g": [{"truth": False, "start": 0, "end": 1}]}),
+        "segments of 'g' cover [0, 1), expected [0, 2)",
+    ),
+    "duplicate-action": (
+        _plan(actions=[{"name": "a", "actor": 1, "copy": 1, "start": 0, "end": 2}] * 2),
+        "duplicate action entry a@1#1",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", PLAN_REJECTIONS.values(), ids=PLAN_REJECTIONS.keys())
+def test_a_rejected_plan_is_an_input_error(tmp_path, capsys, text, message):
+    domain, plan = tmp_path / "d.json", tmp_path / "p.plan.json"
+    domain.write_text(_domain())
+    plan.write_text(text)
+    assert message in _rejected(["validate", domain, plan], capsys)

@@ -130,6 +130,22 @@ def test_an_empty_domain_is_rejected_by_every_consumer():
     assert solve(m, time_budget=5).assignment.ints == (3,)
 
 
+def test_an_iff_row_reifying_a_comparison_is_rejected_by_every_consumer():
+    # the text form has no such line, and the engine compiles no such row
+    m = CspModel(bool_names=["b0"], int_decls=[("x", 0, 3)])
+    m.add(IffConj(Cmp(0, LE, 2), (Lit(0),)))
+    for consume in (
+        lambda m: solve(m, time_budget=5),
+        brute_force_solve,
+        export_model,
+        CspModel.check_well_formed,
+    ):
+        with pytest.raises(ModelFormatError, match="iff row: expected a boolean literal"):
+            consume(m)
+    with pytest.raises(ModelFormatError, match="expected a boolean literal"):
+        parse_model("cspmodel 1\nbool b0\nint 0 3 x\niff i0<=2 1 +b0\n")
+
+
 HEADER = "cspmodel 1\nbool b0\nbool b1\nint 0 3 x\n"
 
 
@@ -268,6 +284,8 @@ def _reference_check(m: CspModel) -> None:
                 check_atom(a)
             check_body(con.body)
         elif isinstance(con, IffConj):
+            if not isinstance(con.lit, Lit):
+                raise ModelFormatError(f"iff row: expected a boolean literal, got {con.lit!r}")
             check_atom(con.lit)
             for a in con.atoms:
                 check_atom(a)
@@ -329,7 +347,8 @@ def _corrupt(rng: random.Random, m: CspModel) -> None:
                 con.guard, bad_body(con.body)
             )
         elif rng.random() < 0.3:
-            con = IffConj(bad_atom(con.lit), con.atoms)
+            lit = bad_atom(con.lit) if rng.random() < 0.7 else Cmp(0, LE, 1)
+            con = IffConj(lit, con.atoms)
         else:
             con = IffConj(con.lit, bad_atoms(con.atoms))
         m.constraints[i] = con

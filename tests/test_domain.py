@@ -103,6 +103,12 @@ def test_validate_diagnostics():
     rules = [diag.rule for diag in validate_domain(bad_duration)]
     assert "finite-positive-duration" in rules
 
+    # a document cannot say this: parse_domain rejects a timer's duration
+    fixed_timer = Domain((Fluent("p"),), (Skill("a", SkillKind.TIMER, 3),))
+    assert [str(diag) for diag in validate_domain(fixed_timer)] == [
+        "[timer-no-duration] timer skill 'a' must not fix a duration"
+    ]
+
     self_interference = Domain((Fluent("p"),), (), interference=frozenset({("p", "p")}))
     rules = [diag.rule for diag in validate_domain(self_interference)]
     assert "interference-irreflexive" in rules

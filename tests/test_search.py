@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -16,7 +17,18 @@ from randgen import random_tiny_domain
 from tqaplan.benchgen import GadgetSpec, gen_cushing
 from tqaplan.cli import CSV_COLUMNS, _run_record
 from tqaplan.cpmodel import export_model, parse_model
-from tqaplan.domain import parse_domain
+from tqaplan.domain import (
+    ConstraintRel,
+    ConstraintSpec,
+    Domain,
+    DomainFormatError,
+    Fluent,
+    Skill,
+    SkillKind,
+    TemporalAction,
+    parse_domain,
+    serialize_domain,
+)
 from tqaplan.encoder import cost_scale, encode
 from tqaplan.intervals import Interval
 from tqaplan.search import (
@@ -126,6 +138,33 @@ def test_a_probe_stops_at_the_time_budget():
 def test_budgets_that_are_not_positive_are_rejected(budgets):
     with pytest.raises(ValueError):
         find_plan(TINY, limits=SearchLimits(max_n=3, **budgets))
+
+
+_SKILL = Skill("a", SkillKind.DELAY, 2, raises=frozenset({"g"}))
+_ON_Q = (ConstraintSpec("q", ConstraintRel.CONTAINS),)
+DANGLING = {  # each refers to an undeclared fluent q or skill b, or repeats a name
+    "constraint": Domain((Fluent("g"),), (dataclasses.replace(_SKILL, constraints=_ON_Q),)),
+    "raises": Domain((Fluent("g"),), (dataclasses.replace(_SKILL, raises=frozenset({"q"})),)),
+    "interference": Domain((Fluent("g"),), (_SKILL,), interference=frozenset({("g", "q")})),
+    "goal": Domain((Fluent("g"),), (_SKILL,), goal=frozenset({"q"})),
+    "component": Domain(
+        (Fluent("g"),), (_SKILL,), temporal_actions=(TemporalAction("t", ("a", "b")),)
+    ),
+    "duplicate": Domain((Fluent("g"), Fluent("g")), (_SKILL,)),
+}
+
+
+@pytest.mark.parametrize("domain", DANGLING.values(), ids=DANGLING.keys())
+def test_a_domain_built_directly_gets_the_reference_checks_of_a_document(domain):
+    with pytest.raises(DomainFormatError) as parsed:
+        parse_domain(serialize_domain(domain))
+    message = re.escape(str(parsed.value))
+    with pytest.raises(DomainFormatError, match=message):
+        find_plan(domain, limits=SearchLimits(max_n=2))
+    with pytest.raises(DomainFormatError, match=message):
+        encode(instantiate(domain, 2))
+    with pytest.raises(DomainFormatError, match=message):
+        enumerate_models(domain, 2)
 
 
 def _reference_find_plan(d, objective, limits, geometric):

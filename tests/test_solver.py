@@ -420,19 +420,26 @@ class _RowReads(list):
 
 
 class _AuditedEngine(Engine):
-    """After every propagation, at the root and at every node, conflicts
-    included: a row is marked queued exactly when it sleeps, it sleeps once,
-    and no row that slept when propagation began has run."""
+    """Every bound change tightens an open literal.  After every propagation,
+    at the root and at every node, conflicts included: every domain is
+    non-empty, a row is marked queued exactly when it sleeps, it sleeps
+    once, and no row that slept when propagation began has run."""
 
     def __init__(self, model):
         super().__init__()
         self.cons = _RowReads()
         self.load(model, len(model.constraints))
 
+    def _force(self, uid, ge, k):
+        lo, hi = self.lo[uid], self.hi[uid]
+        assert lo < k <= hi if ge else lo <= k < hi, (uid, ge, k, lo, hi)
+        super()._force(uid, ge, k)
+
     def propagate(self):
         asleep_before = {idx for _, idx in self.sleepers}
         self.cons.ran = []
         ok = super().propagate()
+        assert all(map(int.__le__, self.lo, self.hi))
         asleep = [idx for _, idx in self.sleepers]
         assert not self.queue and not self.pending
         assert len(set(asleep)) == len(asleep)

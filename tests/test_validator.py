@@ -345,6 +345,53 @@ def test_temporal_chain_rule():
     assert "starts at 3, expected 2" in report.violations[0].message
 
 
+TWO_ACTORS = parse_domain(
+    '{"fluents": ["g"], "actors": 2,'
+    ' "skills": [{"name": "a", "kind": "delay", "duration": 2, "actors": [1]}]}'
+)
+IDLE = {"g": [(False, 0, 6)]}
+
+# a plan, and the one violation validate_plan reports on it
+PLAN_VIOLATIONS = {
+    "undeclared-fluent": (
+        TINY,
+        hand_plan(2, {"g": [(True, 0, 2)], "h": [(False, 0, 2)]}, {}),
+        ("unknown-symbol", ("h",), "undeclared fluent 'h'"),
+    ),
+    "actor-out-of-range": (
+        TINY,
+        hand_plan(2, {"g": [(True, 0, 2)]}, {"a@2#1": (0, 2)}),
+        ("unknown-symbol", ("a@2#1",), "actor 2 out of range"),
+    ),
+    "actor-may-not-run-the-skill": (
+        TWO_ACTORS,
+        hand_plan(2, {"g": [(False, 0, 2)]}, {"a@2#1": (0, 2)}),
+        ("unknown-symbol", ("a@2#1",), "skill 'a' not available to actor 2"),
+    ),
+    "fluent-entry-shape": (
+        TINY,
+        hand_plan(2, {"g": [(True, 0, 3)]}, {}),
+        ("entry-shape", ("g",), "fluent entry [0, 3) outside [0, 2)"),
+    ),
+    "components-end-early": (
+        CHAINED,
+        hand_plan(6, IDLE, {"t@1#1": (0, 5), "s1@1#1": (0, 2), "s2@1#1": (2, 4)}),
+        ("temporal-chain", ("t@1#1",), "components of t@1#1 end at 4, parent ends at 5"),
+    ),
+    "component-without-parent": (
+        CHAINED,
+        hand_plan(6, IDLE, {"s1@1#1": (0, 2)}),
+        ("temporal-chain", ("s1@1#1",), "component s1@1#1 runs without parent 't'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("domain, plan, want", PLAN_VIOLATIONS.values(), ids=PLAN_VIOLATIONS.keys())
+def test_each_rule_names_its_violation(domain, plan, want):
+    report = validate_plan(domain, plan)
+    assert [(v.rule, v.subjects, v.message) for v in report.violations] == [want]
+
+
 def test_validation_cost_does_not_grow_with_the_horizon():
     horizon = 10**7
     domain = parse_domain(
