@@ -23,7 +23,8 @@ from .domain import (
     DOMAIN_KEYS,
     Domain,
     DomainFormatError,
-    parse_domain,
+    domain_from_document,
+    read_document,
     serialize_domain,
     validate_domain,
 )
@@ -74,15 +75,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_domain(path: str, strict: bool) -> Domain:
-    text = Path(path).read_text(encoding="utf-8")
-    if not strict:
-        doc = json.loads(text)
-        if isinstance(doc, dict):
-            dropped = set(doc) - set(DOMAIN_KEYS)
-            if dropped:
-                print(f"warning: ignoring unknown keys {sorted(dropped)}", file=sys.stderr)
-            text = json.dumps({k: v for k, v in doc.items() if k in DOMAIN_KEYS})
-    domain = parse_domain(text)
+    doc = read_document(Path(path).read_text(encoding="utf-8"))
+    if not strict and isinstance(doc, dict):
+        dropped = set(doc) - set(DOMAIN_KEYS)
+        if dropped:
+            print(f"warning: ignoring unknown keys {sorted(dropped)}", file=sys.stderr)
+            doc = {k: v for k, v in doc.items() if k in DOMAIN_KEYS}
+    domain = domain_from_document(doc)
     diags = validate_domain(domain)
     if diags:
         raise DomainFormatError("$", "; ".join(str(d) for d in diags))

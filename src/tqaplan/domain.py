@@ -179,16 +179,27 @@ def _expect_str(value: Any, path: str) -> str:
 DOMAIN_KEYS = ("fluents", "actors", "skills", "interference", "temporal_actions", "init", "goal")
 
 
+def read_document(text: str) -> Any:
+    """The JSON value of a domain document's text: the one place that
+    rejects text that is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainFormatError("$", f"not valid JSON: {exc}") from None
+
+
 def parse_domain(text: str) -> Domain:
-    """Parse a domain document (strict: unknown keys are rejected).
+    """Parse a domain document (strict: unknown keys are rejected)."""
+    return domain_from_document(read_document(text))
+
+
+def domain_from_document(doc: Any) -> Domain:
+    """The domain a document's JSON value describes (strict: unknown keys
+    are rejected).
 
     Top-level keys: fluents, actors, skills, interference, temporal_actions,
     init, goal; all optional with empty/1 defaults.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainFormatError("$", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DomainFormatError("$", "top level must be an object")
     _expect_keys(doc, DOMAIN_KEYS, "$")

@@ -193,15 +193,6 @@ class History:
             truth[atom] = row
         return cls(horizon, truth)
 
-    @property
-    def atoms(self) -> frozenset[str]:
-        return frozenset(self._truth)
-
-    def value(self, t: int, atom: str) -> bool:
-        if not 0 <= t < self.horizon:
-            raise HistoryTooShortError(f"time {t} outside history prefix [0, {self.horizon})")
-        return self._truth[atom][t]
-
 
 def check_tqa(h: History, tqa: Tqa) -> bool:
     """True iff the history assigns ``tqa.polarity`` to the atom throughout

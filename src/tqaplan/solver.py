@@ -205,9 +205,10 @@ class Engine:
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
-    row ``idx`` waits in either, runs, or sleeps: ``sleepers`` holds
-    ``(trail length, row)`` once for each entailed row, released by
-    :meth:`_undo_to` once the trail is cut below that length.
+    row ``idx`` waits in either, runs, or sleeps.  The trail is the one
+    undo log, of two kinds of entry: a bound change ``(uid, ge, old
+    bound)``, and the int ``idx`` of a row found entailed, which sleeps
+    until :meth:`_undo_to` cuts the trail below its entry.
     """
 
     def __init__(self, model: Optional[CspModel] = None):
@@ -219,11 +220,10 @@ class Engine:
         self.cons: list[tuple] = []
         self.n_stable = 0
         self.tail_uids: list[int] = []  # uids watched by rows past the stable ones
-        self.trail: list[tuple[int, bool, int]] = []
+        self.trail: list = []  # (uid, ge, old bound), or a sleeping row's idx
         self.queued: list[bool] = []  # waiting in a queue, running, or asleep
         self.queue: deque[int] = deque()  # woken rows, oldest first
         self.pending: list[int] = []  # the root sweep, from its end
-        self.sleepers: list[tuple[int, int]] = []  # (trail length, row)
         self.nodes = 0
         self.order: Optional[list[int]] = None
         self.shared: dict[tuple, tuple] = {}
@@ -418,7 +418,7 @@ class Engine:
         half."""
         lo, hi, force, prop_lin_le = self.lo, self.hi, self._force, self._prop_lin_le
         queue, pending, queued, cons = self.queue, self.pending, self.queued, self.cons
-        sleepers, trail = self.sleepers, self.trail
+        trail = self.trail
         conflict = False
         while True:
             if queue:
@@ -480,7 +480,7 @@ class Engine:
                 pending.clear()
                 return False
             if done:  # marked queued, an entailed row sleeps until _undo_to
-                sleepers.append((len(trail), idx))
+                trail.append(idx)
             elif len(trail) > mark:
                 queue.append(idx)
             else:
@@ -489,16 +489,15 @@ class Engine:
     # -- search ------------------------------------------------------------------
 
     def _undo_to(self, mark: int) -> None:
-        trail, lo, hi = self.trail, self.lo, self.hi
-        for uid, changed_lo, old in reversed(trail[mark:]):
-            if changed_lo:
-                lo[uid] = old
+        trail, lo, hi, queued = self.trail, self.lo, self.hi, self.queued
+        for entry in reversed(trail[mark:]):
+            if type(entry) is int:  # a row that fell asleep above the mark wakes
+                queued[entry] = False
+            elif entry[1]:  # (uid, ge, old bound)
+                lo[entry[0]] = entry[2]
             else:
-                hi[uid] = old
+                hi[entry[0]] = entry[2]
         del trail[mark:]
-        sleepers, queued = self.sleepers, self.queued
-        while sleepers and sleepers[-1][0] > mark:
-            queued[sleepers.pop()[1]] = False
 
     def _next_var(self, start: int) -> int:
         order, lo, hi = self.order, self.lo, self.hi
@@ -557,7 +556,6 @@ class Engine:
         """Back to the root: every row awake and in the root sweep, bound
         rows first."""
         self._undo_to(0)
-        self.sleepers.clear()
         self.queue.clear()
         self.pending = self.root_queue + list(range(len(self.root_queue), len(self.cons)))
         self.queued = [True] * len(self.cons)

@@ -420,11 +420,10 @@ def _span_sets(n: int, cap: int):
 
 
 def _duration_fits(skill: Skill, boundaries, span) -> bool:
+    """A delay's span lasts its duration.  Any span fits a timer: it covers
+    a stage, and boundaries strictly increase."""
     l, r = span
-    size = boundaries[r - 1] - boundaries[l - 1]
-    if skill.kind is SkillKind.DELAY:
-        return size == skill.duration
-    return size >= 1
+    return skill.kind is not SkillKind.DELAY or boundaries[r - 1] - boundaries[l - 1] == skill.duration
 
 
 def _compositions(stages: int, parts: int):

@@ -414,6 +414,13 @@ def test_a_rejected_domain_is_an_input_error(tmp_path, capsys, text, message):
     assert message in _rejected(["solve", domain], capsys)
 
 
+@pytest.mark.parametrize("text, message", DOMAIN_REJECTIONS.values(), ids=DOMAIN_REJECTIONS.keys())
+def test_no_strict_io_rejects_a_domain_with_strict_modes_message(tmp_path, capsys, text, message):
+    domain = tmp_path / "d.json"
+    domain.write_text(text)
+    assert message in _rejected(["solve", domain, "--no-strict-io"], capsys)
+
+
 def _plan(**doc) -> str:
     segments = [{"truth": False, "start": 0, "end": 2}]
     return json.dumps({"n": 1, "boundaries": [0, 2], "fluents": {"g": segments}, **doc})

@@ -419,11 +419,18 @@ class _RowReads(list):
         return super().__getitem__(idx)
 
 
+def _asleep(engine):
+    """The rows asleep on the trail: its int entries, oldest first."""
+    return [entry for entry in engine.trail if type(entry) is int]
+
+
 class _AuditedEngine(Engine):
     """Every bound change tightens an open literal.  After every propagation,
     at the root and at every node, conflicts included: every domain is
     non-empty, a row is marked queued exactly when it sleeps, it sleeps
-    once, and no row that slept when propagation began has run."""
+    once, and no row that slept when propagation began has run.  After
+    every cut of the trail, both queues are empty and a row is marked queued
+    exactly when its id remains on the trail.  It loads one model."""
 
     def __init__(self, model):
         super().__init__()
@@ -435,12 +442,17 @@ class _AuditedEngine(Engine):
         assert lo < k <= hi if ge else lo <= k < hi, (uid, ge, k, lo, hi)
         super()._force(uid, ge, k)
 
+    def _undo_to(self, mark):
+        super()._undo_to(mark)
+        assert not self.queue and not self.pending
+        assert [i for i, q in enumerate(self.queued) if q] == sorted(_asleep(self))
+
     def propagate(self):
-        asleep_before = {idx for _, idx in self.sleepers}
+        asleep_before = set(_asleep(self))
         self.cons.ran = []
         ok = super().propagate()
         assert all(map(int.__le__, self.lo, self.hi))
-        asleep = [idx for _, idx in self.sleepers]
+        asleep = _asleep(self)
         assert not self.queue and not self.pending
         assert len(set(asleep)) == len(asleep)
         assert [i for i, q in enumerate(self.queued) if q] == sorted(asleep)
@@ -452,7 +464,7 @@ def test_a_row_that_forces_its_own_variable_runs_once_and_sleeps_once():
     m = CspModel(bool_names=["x"], constraints=[Clause((Lit(0),))])
     engine = _AuditedEngine(m)
     assert engine.propagate()
-    assert engine.cons.ran == [0] and engine.sleepers == [(1, 0)]
+    assert engine.cons.ran == [0] and engine.trail == [(0, True, 0), 0]
 
 
 def test_rows_sleep_once_and_never_run_asleep():
