@@ -183,41 +183,43 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
-    return range(value, value + 1)
+def _parse_range(flag: str, text: str) -> range:
+    """The values of ``text``, a count ``A`` or a range ``A..B``."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"{flag}: expected a count or a range A..B, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{flag}: empty range {text!r}")
+    return values
 
 
 def cmd_bench(args) -> int:
-    copies = _parse_range(args.copies)
-    heights = _parse_range(args.height) if args.height else [None]
-    if args.type == "I" and args.height:
-        return _fail("Type I instances have no height")
+    # build every instance first, so that a bad one exits before any is solved
+    heights = _parse_range("--height", args.height) if args.height else [None]
+    specs = [
+        GadgetSpec(args.type, m, h) for m in _parse_range("--copies", args.copies) for h in heights
+    ]
+    limits = _limits_from(args)
     rows = []
-    for m in copies:
-        for h in heights:
-            spec = GadgetSpec(args.type, m, h)
-            domain = gen_cushing(spec)
-            instance = f"{args.type.lower()}-m{m}" + (f"-h{h}" if h else "")
-            outcome = find_plan(
-                domain,
-                objective=args.objective,
-                limits=_limits_from(args),
-                geometric=args.geometric_n,
-            )
-            row = _run_record(instance, outcome)
-            row.update(type=args.type, copies=m, height=h)
-            if outcome.found:
-                report = validate_plan(domain, outcome.plan)
-                row["verdict"] = "valid" if report.is_valid else "invalid-plan"
-            rows.append(row)
-            print(
-                f"{instance}: {row['verdict']} n={outcome.n_found} {row['wall_ms']}ms",
-                file=sys.stderr,
-            )
+    for spec in specs:
+        m, h = spec.copies, spec.height
+        domain = gen_cushing(spec)
+        instance = f"{args.type.lower()}-m{m}" + (f"-h{h}" if h else "")
+        outcome = find_plan(
+            domain, objective=args.objective, limits=limits, geometric=args.geometric_n
+        )
+        row = _run_record(instance, outcome)
+        row.update(type=args.type, copies=m, height=h)
+        if outcome.found:
+            report = validate_plan(domain, outcome.plan)
+            row["verdict"] = "valid" if report.is_valid else "invalid-plan"
+        rows.append(row)
+        print(
+            f"{instance}: {row['verdict']} n={outcome.n_found} {row['wall_ms']}ms",
+            file=sys.stderr,
+        )
     out_path = Path(args.out)
     new_file = not out_path.exists()
     with out_path.open("a", newline="", encoding="utf-8") as handle:

@@ -17,8 +17,8 @@ exactly-ones, the objectives) are written out where they are used.
 
 Every family walks a stage range and a copy range.  A row belongs to the
 stage and copy it first exists at; rows whose form depends on the stage
-count itself (the horizon, the last stage, the copy set while it can still
-grow) go through one hook, :attr:`Encoder.tail`.  One :class:`Encoder`
+count itself (the last stage, the copy set while it can still grow) go
+through one hook, :attr:`Encoder.tail`.  One :class:`Encoder`
 grows the models of rising stage counts: each :meth:`Encoder.advance`
 walks only what is new and keeps the hooked rows apart, as a tail rewritten
 at every count.  :func:`encode` is the first advance of a fresh encoder
@@ -193,13 +193,10 @@ class Encoder:
         """Boundary chain, use/span coupling, copy ordering, timestamp
         channelling, and duration rules."""
         shape, m = self.shape, self.model
-        n, h = shape.n_stages, shape.horizon
+        n = shape.n_stages
         b = self.boundary_id
-        if self.t0 == 1:
-            m.add(self._var(b[0], EQ, 0))
         for t in self._stages(1, n + 1):
             m.add(self._diff(b[t - 1], b[t], LE, -1))
-        self.tail(self._var(b[n], LE, h))
 
         for ai, ref in enumerate(shape.actions):
             skill = shape.skill_of(ref) if ref.kind == "skill" else None
@@ -213,10 +210,10 @@ class Encoder:
                 s_v, e_v = self.start_id[(ai, k)], self.end_id[(ai, k)]
                 if new:
                     m.add(Implies((u,), self._diff(l_v, r_v, LE, -1)))
-                self.tail(Implies((self._not(u),), self._var(l_v, EQ, n + 1)))
-                if new:
-                    for x in (r_v, s_v, e_v):
-                        m.add(Implies((self._not(u),), self._var(x, EQ, 0)))
+                    # an unused copy sits at its declared lower bounds; no
+                    # other row reads its indices unless the copy is used
+                    for x, lo in ((l_v, 1), (r_v, 0), (s_v, 0), (e_v, 0)):
+                        m.add(Implies((self._not(u),), self._var(x, EQ, lo)))
                 if new and k > 1:
                     m.add(Clause((self._not(u), self._lit(self.use_id[(ai, k - 1)]))))
                     m.add(Implies((u,), self._diff(self.right_id[(ai, k - 1)], l_v, LE, 0)))

@@ -161,7 +161,9 @@ def instantiate(
                 shape.use_id[(ai, k)] = new_bool(f"u[{ref.label()},{k}]")
 
         if t == 1:
+            # the encoder writes no row b[0] = 0; this domain says it
             shape.boundary_id[0] = new_int("b[0]", 0, 0)
+        # the encoder writes no row b[N] <= h; this domain says it at t = N
         shape.boundary_id[t] = new_int(f"b[{t}]", t, h - (n - t))
         for name in fluents:
             shape.split_id[(name, t)] = new_int(f"s[{name},{t}]", t - 1, h - (n - t))

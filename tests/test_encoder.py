@@ -132,14 +132,29 @@ def test_duration_forces_boundary_gap():
 
 
 def test_unused_copy_is_parked():
-    d = Domain((), (Skill("a", SkillKind.DELAY, 1),))
-    shape = instantiate(d, 2, 1, 4)
-    model = encode(shape)
-    pinned(model, [(shape.use_id[(0, 1)], False)])
-    res = solve(model, time_budget=30)
-    assert res.is_sat
-    assert res.assignment.ints[shape.left_id[(0, 1)]] == 3  # n + 1
-    assert res.assignment.ints[shape.right_id[(0, 1)]] == 0
+    """In the solution of each satisfiable model, every copy out of use has
+    l, r, S and E at their declared lower bounds."""
+    cases = [
+        (gen_cushing(GadgetSpec(*spec)), (n,))
+        for spec, n in ((("I", 2, None), 4), (("II", 1, 2), 9), (("III", 1, 2), 9))
+    ]
+    cases += [(random_tiny_domain(random.Random(seed)), (1, 2, 3)) for seed in range(30)]
+    parked = 0
+    for domain, stage_counts in cases:
+        for cap in (1, 2, None):
+            for n in stage_counts:
+                shape = instantiate(domain, n, cap)
+                res = solve(encode(shape), time_budget=30)
+                if not res.is_sat:
+                    continue
+                for key, u in shape.use_id.items():
+                    if res.assignment.bools[u]:
+                        continue
+                    for ids in (shape.left_id, shape.right_id, shape.start_id, shape.end_id):
+                        var = ids[key]
+                        assert res.assignment.ints[var] == shape.int_decls[var][1]
+                    parked += 1
+    assert parked >= 300
 
 
 def test_copy_symmetry_and_ordering():
@@ -378,9 +393,9 @@ def test_oracle_equivalence_batch():
 
 
 # sha256 of the concatenated export_model text over GOLDEN_GRID, computed on
-# the encoder before the domain/shape lookup tables were introduced, with each
-# exactly-one line then rewritten as the equal ``lin eq`` row
-GOLDEN_DIGEST = "449a5e79accde1d2fdb7d73df73b30398cc7754844f768df5b81d42e83922507"
+# the encoder that leaves b[0] = 0 and b[N] <= h to the declared domains and
+# parks an unused copy's l at 1
+GOLDEN_DIGEST = "22211a146a8fb46463bd923c0b374c748f7b3a58847fa9e2bf0fc4b7b97cdaeb"
 # (type, copies, height), n*: the minimal stage count at copy cap 1
 GOLDEN_GRID = ((("I", 20, None), 4), (("II", 3, 3), 14), (("III", 3, 3), 17), (("II", 1, 2), 9))
 
@@ -399,9 +414,23 @@ def test_models_are_byte_identical_to_the_golden_digest():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+def test_declared_domains_fix_the_first_boundary_and_cap_the_last():
+    """The encoder writes no row b[0] = 0 and none b[N] <= h: the declared
+    domains of the boundaries say both."""
+    domains = [(gen_cushing(GadgetSpec(*spec)), range(1, n_star + 1)) for spec, n_star in GOLDEN_GRID]
+    domains += [(random_tiny_domain(random.Random(seed)), (1, 2, 3)) for seed in range(100)]
+    for domain, stage_counts in domains:
+        for cap in (1, 2, None):
+            for n in stage_counts:
+                shape = instantiate(domain, n, cap)
+                _, lo, hi = shape.int_decls[shape.boundary_id[0]]
+                assert (lo, hi) == (0, 0)
+                assert shape.int_decls[shape.boundary_id[n]][2] <= shape.horizon
+
+
 # the same, over random tiny domains: several raisers per fluent, equality
 # resources, interference and temporal actions, which the gadgets lack
-GOLDEN_TINY_DIGEST = "bbb1d2d20d67586c16b36cf1e7ba36735cc0eb473fdcbe1d5b24f4de3338248d"
+GOLDEN_TINY_DIGEST = "e4ba4bf6cace0e17accafcf30582150e79467d3ada1ccd415dd929dd2ac6211f"
 
 
 def test_tiny_domain_models_are_byte_identical_to_the_golden_digest():

@@ -482,10 +482,9 @@ def test_rows_sleep_once_and_never_run_asleep():
 
 # sha256 over the compiled rows, watch lists and shared-tuple count of
 # Engine(m) on four models and of each probe of a grown engine, and the rows
-# that engine's search ran, computed on the engine whose compile went through
-# _literals, _negated and _register, and whose propagate called _prop_clause
-# and _lin_min per clause
-COMPILED_ROWS_DIGEST = "b1e39b75b94584e0f0b282c52394ab31d2c5c99e2a0ccdfe612d1ed2efb5bf7c"
+# that engine's search ran, computed on the encoder that leaves b[0] = 0 and
+# b[N] <= h to the declared domains and parks an unused copy's l at 1
+COMPILED_ROWS_DIGEST = "b95ab6554f86d0e05c91d16b062ebb336df1931e621fe131baa90c38826e2ef9"
 
 
 def test_compiled_rows_are_pinned():
