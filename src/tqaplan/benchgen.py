@@ -49,13 +49,13 @@ class GadgetSpec:
         if self.bench_type not in ("I", "II", "III"):
             raise ValueError(f"bench type must be I, II or III, got {self.bench_type!r}")
         if self.copies < 1:
-            raise ValueError("need at least one copy")
+            raise ValueError(f"copies must be at least 1, got {self.copies}")
         if self.bench_type == "I":
             if self.height is not None:
-                raise ValueError("Type I has no stack height")
+                raise ValueError(f"height must be unset for Type I, got {self.height}")
         else:
             if self.height is None or not 2 <= self.height <= 8:
-                raise ValueError("Type II/III need a stack height in [2, 8]")
+                raise ValueError(f"height must be in [2, 8] for Type II/III, got {self.height}")
 
 
 def level_durations(depth_below: int) -> tuple[int, int, int]:

@@ -12,8 +12,8 @@ stage indices, timestamps and split points as in a simple temporal network,
 and the bound row ``x op k`` (:meth:`Encoder._var`), which parks or caps one
 variable.  Every literal, comparison and term is built once per encoder and
 shared by the rows that use it (:attr:`Encoder.atoms`).
-Rows of any other shape (flow conservation, the span-width row, the
-exactly-ones, the objectives) are written out where they are used.
+Rows of any other shape (flow conservation, the exactly-ones, the
+objectives) are written out where they are used.
 
 Every family walks a stage range and a copy range.  A row belongs to the
 stage and copy it first exists at; rows whose form depends on the stage
@@ -221,34 +221,14 @@ class Encoder:
                     m.add(Implies((u, self._cmp(l_v, EQ, t)), self._diff(s_v, b[t - 1], EQ, 0)))
                 for t in self._stages(2, n + 2, k, shift=-1):
                     m.add(Implies((u, self._cmp(r_v, EQ, t)), self._diff(e_v, b[t - 1], EQ, 0)))
-                if not new:
-                    continue
-                # stages are at least one tick wide, so E - S >= r - l
-                m.add(
-                    Implies(
-                        (u,),
-                        Lin(
-                            (
-                                self._term(-1, INT, e_v),
-                                self._term(1, INT, s_v),
-                                self._term(1, INT, r_v),
-                                self._term(-1, INT, l_v),
-                            ),
-                            LE,
-                            0,
-                        ),
-                    )
-                )
-                if skill is None:
+                # no row E - S >= r - l: channelling and the boundary chain imply it
+                if not new or skill is None:
                     continue
                 if skill.kind is SkillKind.DELAY:
                     m.add(Implies((u,), self._diff(e_v, s_v, EQ, skill.duration)))
                     m.add(Implies((u,), self._diff(r_v, l_v, LE, skill.duration)))
-                else:
-                    m.add(Implies((u,), self._diff(s_v, e_v, LE, -1)))
                 if has_equals:
                     # one-tick insets on both sides need two ticks of slack
-                    m.add(Implies((u,), self._diff(s_v, e_v, LE, -2)))
                     m.add(Implies((u,), self._diff(l_v, r_v, LE, -2)))
 
     # -- precondition/effect constraint families ------------------------------
@@ -465,9 +445,11 @@ class Encoder:
         Goal support: a goal fluent that starts false needs some raiser copy
         in use.  Single-provider windows: when a constrained fluent outside
         the initial conditions has exactly one candidate raiser copy, the
-        window geometry pins offsets between the two copies' stage and time
-        variables (one-tick insets for equality-bound resources; rises
-        strictly inside the provider's span otherwise)."""
+        constrained copy needs the provider in use, starting at an earlier
+        stage and at least two ticks earlier.  If that fluent is a resource
+        the provider holds as an equals window, the constrained copy also
+        ends at an earlier stage (contains) or starts at a stage before the
+        provider ends (overlaps)."""
         shape, add = self.shape, self.set_add
         domain = shape.domain
         if self.set_t0 > 1:
@@ -496,9 +478,8 @@ class Encoder:
                 bi = providers[0]
                 u = self._lit(self.use_id[(ai, 1)])
                 l_a, r_a = self.left_id[(ai, 1)], self.right_id[(ai, 1)]
-                s_a, e_a = self.start_id[(ai, 1)], self.end_id[(ai, 1)]
                 l_b, r_b = self.left_id[(bi, 1)], self.right_id[(bi, 1)]
-                s_b, e_b = self.start_id[(bi, 1)], self.end_id[(bi, 1)]
+                s_a, s_b = self.start_id[(ai, 1)], self.start_id[(bi, 1)]
                 add(Clause((self._not(u), self._lit(self.use_id[(bi, 1)]))))
                 add(Implies((u,), self._diff(l_b, l_a, LE, -1)))
                 add(Implies((u,), self._diff(s_b, s_a, LE, -2)))
@@ -515,12 +496,8 @@ class Encoder:
                     continue
                 if spec.rel is ConstraintRel.CONTAINS:
                     add(Implies((u,), self._diff(r_a, r_b, LE, -1)))
-                    add(Implies((u,), self._diff(e_a, e_b, LE, -2)))
                 else:  # the provider's window must fall strictly inside the span
-                    add(Implies((u,), self._diff(r_b, r_a, LE, 0)))
                     add(Implies((u,), self._diff(l_a, r_b, LE, -1)))
-                    add(Implies((u,), self._diff(e_b, e_a, LE, 0)))
-                    add(Implies((u,), self._diff(s_a, e_b, LE, -2)))
 
     # -- objective -----------------------------------------------------------
 

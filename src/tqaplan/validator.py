@@ -19,20 +19,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .domain import (
-    ConstraintRel,
-    Domain,
-    Skill,
-    SkillKind,
-    check_references,
-    lowers,
-    raises_of,
-    validate_domain,
-)
+from .domain import ConstraintRel, Domain, Skill, SkillKind, lowers, raises_of
 from .intervals import AllenRelation, CompositeRelation, Interval, allen_relation, holds_composite
 from .search import ActionKey, Plan, Segment, diagram_from_plan, merge_segments, stage_entries
 from .solver import GuardExceededError
-from .theory import InvalidDomainError, default_horizon, effective_copy_cap, ground_actions
+from .theory import instantiate
 
 
 @dataclass(frozen=True)
@@ -450,26 +441,16 @@ def enumerate_models(
     This is the semantic ground truth the encoder is tested against; it
     shares only the validation rules, never the constraint encoding.
     """
-    check_references(d)
-    diags = validate_domain(d)
-    if diags:
-        raise InvalidDomainError(diags)
-    if n_stages < 1:
-        raise ValueError("need at least one stage")
-    if horizon is None:
-        horizon = default_horizon(d, n_stages)
-    if horizon < n_stages:
-        raise ValueError("horizon too small")
+    # the theory's preconditions, defaults and ground actions; the index
+    # tables it also builds are never read here
+    shape = instantiate(d, n_stages, copy_cap, horizon)
     if objective not in ("none", "makespan"):
         raise ValueError("enumeration supports objective 'none' or 'makespan'")
 
-    n = n_stages
-    cap = effective_copy_cap(copy_cap, n)
-    actions = ground_actions(d)
-    skill_by_name = d.skill_map()
-    ta_by_name = {t.name: t for t in d.temporal_actions}
+    n, cap, horizon, actions = n_stages, shape.copy_cap, shape.horizon, shape.actions
+    skill_by_name, ta_by_name = shape.skill_by_name, shape.temporal_by_name
     in_parent = {name for ta in d.temporal_actions for name in ta.skills}
-    fluents = [f.name for f in d.fluents]
+    fluents = shape.fluent_names
 
     boundary_vectors = [
         (0,) + combo for combo in itertools.combinations(range(1, horizon + 1), n)

@@ -208,19 +208,26 @@ def test_resource_limit_names_the_budget(tmp_path, capsys):
 
 def test_bench_bad_flag_value_is_an_input_error(tmp_path, capsys):
     """A bad value exits before any instance is solved: one error line, no
-    per-instance line and no CSV; a bad range names its flag."""
+    per-instance line and no CSV; a bad range names its flag, and a refused
+    value in a range is named with its field."""
     out = tmp_path / "sweep.csv"
-    for flags, named in (
-        (["--type", "I", "--copies", "1", "--max-copies", "0"], None),
-        (["--type", "II", "--copies", "3..1", "--height", "2"], "--copies"),
-        (["--type", "II", "--copies", "1", "--height", "7..9", "--max-n", "1"], None),
-        (["--type", "II", "--copies", "1..", "--height", "2"], "--copies"),
-        (["--type", "II", "--copies", "1", "--height", "2..x"], "--height"),
+    for flags, named, words in (
+        (["--type", "I", "--copies", "1", "--max-copies", "0"], None, ()),
+        (["--type", "II", "--copies", "3..1", "--height", "2"], "--copies", ()),
+        (
+            ["--type", "II", "--copies", "1", "--height", "7..9", "--max-n", "1"],
+            None,
+            ("height", "9"),
+        ),
+        (["--type", "II", "--copies", "0..2", "--height", "2"], None, ("copies", "0")),
+        (["--type", "II", "--copies", "1..", "--height", "2"], "--copies", ()),
+        (["--type", "II", "--copies", "1", "--height", "2..x"], "--height", ()),
     ):
         assert run(["bench", *flags, "--out", out]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}: " if named else "error: ")
         assert err.count("\n") == 1
+        assert all(word in err for word in words), err
         assert not out.exists()
 
 

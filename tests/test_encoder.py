@@ -14,7 +14,9 @@ from tqaplan.cpmodel import (
     BOOL,
     EQ,
     INT,
+    LE,
     Clause,
+    CspModel,
     IffConj,
     Implies,
     Lin,
@@ -33,9 +35,10 @@ from tqaplan.domain import (
     SkillKind,
     TemporalAction,
     parse_domain,
+    raises_of,
 )
 from tqaplan.encoder import Encoder, encode
-from tqaplan.solver import GuardExceededError, constraint_holds, solve
+from tqaplan.solver import GuardExceededError, brute_force_solve, constraint_holds, solve
 from tqaplan.theory import default_horizon, instantiate
 from tqaplan.validator import enumerate_models
 
@@ -393,9 +396,10 @@ def test_oracle_equivalence_batch():
 
 
 # sha256 of the concatenated export_model text over GOLDEN_GRID, computed on
-# the encoder that leaves b[0] = 0 and b[N] <= h to the declared domains and
-# parks an unused copy's l at 1
-GOLDEN_DIGEST = "22211a146a8fb46463bd923c0b374c748f7b3a58847fa9e2bf0fc4b7b97cdaeb"
+# the encoder that leaves b[0] = 0 and b[N] <= h to the declared domains,
+# parks an unused copy's l at 1 and writes none of the rows that
+# _left_out_rows lists
+GOLDEN_DIGEST = "4dbcd6cd8f3346ed7f6b49e84c24134e8d6889b977d93e81fbd66cf8845730f8"
 # (type, copies, height), n*: the minimal stage count at copy cap 1
 GOLDEN_GRID = ((("I", 20, None), 4), (("II", 3, 3), 14), (("III", 3, 3), 17), (("II", 1, 2), 9))
 
@@ -430,7 +434,7 @@ def test_declared_domains_fix_the_first_boundary_and_cap_the_last():
 
 # the same, over random tiny domains: several raisers per fluent, equality
 # resources, interference and temporal actions, which the gadgets lack
-GOLDEN_TINY_DIGEST = "e4ba4bf6cace0e17accafcf30582150e79467d3ada1ccd415dd929dd2ac6211f"
+GOLDEN_TINY_DIGEST = "fb23e5cc32ba8fe3f04b505fa6d54ea03366b4ffd7706aabcbaba443e95525fd"
 
 
 def test_tiny_domain_models_are_byte_identical_to_the_golden_digest():
@@ -520,3 +524,85 @@ def test_growing_model_rejects_a_falling_stage_count():
     except ValueError:
         return
     raise AssertionError("a repeated stage count was accepted")
+
+
+def _left_out_rows(shape):
+    """Rows the encoder leaves to the rest of the model, each negated and
+    paired with the use variable of the copy it speaks about: every copy's
+    span width E - S >= r - l; a timer's S - E <= -1 and an equals window's
+    S - E <= -2; at copy cap 1, the single-provider window cuts on end
+    points, under the conditions emit_implied_cuts writes its rows."""
+    d = shape.domain
+
+    def at_least(x, y, k):  # x - y >= k, the negation of x - y <= k - 1
+        return Lin((Term(1, INT, y), Term(-1, INT, x)), LE, -k)
+
+    rows = []
+    for ai, ref in enumerate(shape.actions):
+        skill = shape.skill_of(ref) if ref.kind == "skill" else None
+        for k in shape.copies():
+            u = shape.use_id[(ai, k)]
+            l, r = shape.left_id[(ai, k)], shape.right_id[(ai, k)]
+            s, e = shape.start_id[(ai, k)], shape.end_id[(ai, k)]
+            width = (Term(1, INT, e), Term(-1, INT, s), Term(-1, INT, r), Term(1, INT, l))
+            rows.append((u, Lin(width, LE, -1)))
+            if skill is None:
+                continue
+            if skill.kind is SkillKind.TIMER:
+                rows.append((u, at_least(s, e, 0)))
+            if any(c.rel is ConstraintRel.EQUALS for c in skill.constraints):
+                rows.append((u, at_least(s, e, -1)))
+    if shape.copy_cap != 1:
+        return rows
+    skill_ais = [ai for ai, ref in enumerate(shape.actions) if ref.kind == "skill"]
+    roles = {f.name: f.role for f in d.fluents}
+    for ai in skill_ais:
+        for spec in shape.skill_of(shape.actions[ai]).constraints:
+            if spec.rel is ConstraintRel.EQUALS or spec.fluent in d.init:
+                continue
+            providers = [
+                bi for bi in skill_ais if spec.fluent in raises_of(d, shape.actions[bi].name)
+            ]
+            if len(providers) != 1 or roles[spec.fluent] is not FluentRole.RESOURCE:
+                continue
+            bi = providers[0]
+            window = ConstraintSpec(spec.fluent, ConstraintRel.EQUALS)
+            if window not in shape.skill_of(shape.actions[bi]).constraints:
+                continue
+            u = shape.use_id[(ai, 1)]
+            e_a, e_b = shape.end_id[(ai, 1)], shape.end_id[(bi, 1)]
+            if spec.rel is ConstraintRel.CONTAINS:
+                rows.append((u, at_least(e_a, e_b, -1)))
+            else:
+                r_a, r_b = shape.right_id[(ai, 1)], shape.right_id[(bi, 1)]
+                s_a = shape.start_id[(ai, 1)]
+                rows += [(u, at_least(r_b, r_a, 1)), (u, at_least(e_b, e_a, 1))]
+                rows.append((u, at_least(s_a, e_b, -1)))
+    return rows
+
+
+def test_left_out_rows_are_implied():
+    """The model with a copy in use and any left-out row negated has no
+    solution: brute force decides where the model fits its guard, search
+    elsewhere."""
+    shapes = [
+        (gen_cushing(GadgetSpec(*spec)), range(1, 5))
+        for spec in (("I", 1, None), ("II", 1, 2), ("III", 1, 2))
+    ]
+    shapes += [(random_tiny_domain(random.Random(seed)), range(1, 4)) for seed in range(100)]
+    checks = Counter()
+    for domain, stage_counts in shapes:
+        for cap in (1, 2, None):
+            for n in stage_counts:
+                shape = instantiate(domain, n, cap)
+                model = encode(shape)
+                for u, negation in _left_out_rows(shape):
+                    rows = model.constraints + [Clause((Lit(u),)), negation]
+                    probe = CspModel(model.bool_names, model.int_decls, rows)
+                    try:
+                        result, how = brute_force_solve(probe), "brute force"
+                    except GuardExceededError:
+                        result, how = solve(probe), "search"
+                    assert result.status == "unsat", (shape.n_stages, cap, u, negation)
+                    checks[how] += 1
+    assert checks["brute force"] >= 400 and checks["search"] >= 400, checks

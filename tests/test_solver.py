@@ -481,10 +481,11 @@ def test_rows_sleep_once_and_never_run_asleep():
 
 
 # sha256 over the compiled rows, watch lists and shared-tuple count of
-# Engine(m) on four models and of each probe of a grown engine, and the rows
-# that engine's search ran, computed on the encoder that leaves b[0] = 0 and
-# b[N] <= h to the declared domains and parks an unused copy's l at 1
-COMPILED_ROWS_DIGEST = "b95ab6554f86d0e05c91d16b062ebb336df1931e621fe131baa90c38826e2ef9"
+# Engine(m) on four models and of each probe of two grown engines, and the
+# rows each grown engine's search ran, computed on the encoder that leaves
+# b[0] = 0 and b[N] <= h to the declared domains, parks an unused copy's l
+# at 1 and writes none of the rows that test_encoder._left_out_rows lists
+COMPILED_ROWS_DIGEST = "32d2bd3b83ab68d2f7fe8027a2032f498d93535b0a7822bb3b8a3f503ff83981"
 
 
 def test_compiled_rows_are_pinned():
@@ -503,14 +504,20 @@ def test_compiled_rows_are_pinned():
     ]:
         domain = gen_cushing(GadgetSpec(*spec))
         pin(Engine(encode(instantiate(domain, n, cap, horizon), objective)))
-    domain = gen_cushing(GadgetSpec("II", 1, 2))
-    grower, engine = Encoder("none", 2), Engine()
-    engine.cons = _RowReads()
-    engine.cons.ran = []
-    for n in range(1, 10):
-        model, n_stable, order = grower.advance(instantiate(domain, n, 2, 22))
-        engine.load(model, n_stable, order)
-        pin(engine)
-        solve(model, engine)
-    digest.update(repr(len(engine.cons.ran)).encode())
+    # grown engines that solve every probe: a copies chain and deep's cap-1
+    # chain, whose rows run rise when a cut that keeps every node is lost
+    for spec, n_max, cap, horizon, objective in [
+        (("II", 1, 2), 9, 2, 22, "none"),
+        (("II", 3, 3), 14, 1, None, "makespan"),
+    ]:
+        domain = gen_cushing(GadgetSpec(*spec))
+        grower, engine = Encoder(objective, cap), Engine()
+        engine.cons = _RowReads()
+        engine.cons.ran = []
+        for n in range(1, n_max + 1):
+            model, n_stable, order = grower.advance(instantiate(domain, n, cap, horizon))
+            engine.load(model, n_stable, order)
+            pin(engine)
+            solve(model, engine)
+        digest.update(repr(len(engine.cons.ran)).encode())
     assert digest.hexdigest() == COMPILED_ROWS_DIGEST
