@@ -4,8 +4,8 @@ canonical text form that round-trips exactly.
 
 Atoms, terms and rows are immutable tuples (``NamedTuple``), compared and
 hashed by value.  Equal pieces are interchangeable, so each producer builds
-one object per distinct atom or term and shares it: the encoder through its
-table, :func:`parse_model` through one memo per token role, and
+one object per distinct atom or term and shares it: the encoder through one
+table per kind, :func:`parse_model` through one memo per token role, and
 :func:`export_model` formats each distinct atom once.  Two well-formed rows
 of different kinds never compare equal: the kinds differ in arity or in
 the types of their fields, and comparisons and terms use disjoint codes.

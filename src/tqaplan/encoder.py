@@ -1,17 +1,20 @@
 """Translate a theory shape into a finite-domain constraint model.
 
 Variable semantics: for each fluent and stage, four flow Booleans pick the
-truth values over the stage's two sub-intervals; each action copy carries a
-use Boolean, stage indices l/r (the copy spans stages l..r-1), and
-channelled start/end timestamps.  Emission order is fixed, so equal inputs
-produce byte-identical models.
+truth values over the stage's two sub-intervals, and a split point places
+the stage's transition; each action copy carries a use Boolean, stage
+indices l/r (the copy spans stages l..r-1), and channelled start/end
+timestamps.  Exactly one flow holds per fluent and stage, which lets three
+rows place each split point (:meth:`Encoder.emit_flow`).  Emission order is
+fixed, so equal inputs produce byte-identical models.
 
 Most integer rows instantiate one of two schemata: the difference row
 ``x - y op k`` (:meth:`Encoder._diff`), which orders stage boundaries, copy
 stage indices, timestamps and split points as in a simple temporal network,
 and the bound row ``x op k`` (:meth:`Encoder._var`), which parks or caps one
 variable.  Every literal, comparison and term is built once per encoder and
-shared by the rows that use it (:attr:`Encoder.atoms`).
+shared by the rows that use it, held in one table per kind
+(:attr:`Encoder.lits`, :attr:`Encoder.cmps`, :attr:`Encoder.terms`).
 Rows of any other shape (flow conservation, the exactly-ones, the
 objectives) are written out where they are used.
 
@@ -43,7 +46,6 @@ from .cpmodel import (
     Implies,
     Lin,
     Lit,
-    Memo,
     Term,
     acyclic,
 )
@@ -58,9 +60,11 @@ def cost_scale(domain: Domain) -> int:
     return lcm(*(s.cost.denominator for s in domain.skills), 1)
 
 
-def _build(key: tuple):
-    """The atom or term ``kind(*fields)`` of the key ``(kind, *fields)``."""
-    return key[0](*key[1:])
+def _held(table: dict, atom):
+    """``atom``, held from now on as its own key in ``table``, where a plain
+    tuple of its fields finds it: a ``NamedTuple`` equals, and hashes as,
+    the tuple of its fields."""
+    return table.setdefault(atom, atom)
 
 
 class Encoder:
@@ -77,8 +81,8 @@ class Encoder:
 
     def __init__(self, objective: str = "none", copy_cap: Optional[int] = None):
         self.model = CspModel()
-        # each distinct literal, comparison and term, by (kind, *fields)
-        self.atoms = Memo(_build)
+        # each distinct literal, comparison and term, one table per kind
+        self.lits, self.cmps, self.terms = {}, {}, {}
         self.objective = objective
         self.copy_cap = copy_cap
         self.shape: Optional[TheoryShape] = None
@@ -93,16 +97,16 @@ class Encoder:
     # -- shared atoms and lookups ----------------------------------------------
 
     def _lit(self, var: int, val: bool = True) -> Lit:
-        return self.atoms[Lit, var, val]
+        return self.lits.get((var, val)) or _held(self.lits, Lit(var, val))
 
     def _not(self, lit: Lit) -> Lit:
-        return self.atoms[Lit, lit.var, not lit.val]
+        return self.lits.get((lit.var, not lit.val)) or _held(self.lits, lit.negate())
 
     def _cmp(self, var: int, op: str, k: int) -> Cmp:
-        return self.atoms[Cmp, var, op, k]
+        return self.cmps.get((var, op, k)) or _held(self.cmps, Cmp(var, op, k))
 
     def _term(self, coef: int, space: str, var: int) -> Term:
-        return self.atoms[Term, coef, space, var]
+        return self.terms.get((coef, space, var)) or _held(self.terms, Term(coef, space, var))
 
     def _diff(self, x: int, y: int, op: str, k: int) -> Lin:
         """The difference row ``x - y op k`` over two integer variables."""
@@ -141,6 +145,13 @@ class Encoder:
         The initial rows pin all four stage-1 flows (the listed pair sums to
         one, the complementary pair is zero); together with conservation this
         makes exactly one flow true per (fluent, stage).
+
+        So neither constant flow holding means a transition, and neither
+        transition holding means a constant stage: three rows place the split
+        point, each guarded by the two flows it excludes.  A transition splits
+        its stage strictly inside the stage's boundaries; a constant stage has
+        no transition to place, so its split parks at its lower bound, which
+        decode never reads.
         """
         shape, m = self.shape, self.model
         n = shape.n_stages
@@ -176,16 +187,11 @@ class Encoder:
                 m.add(self._one_flow(fluent, t, *FLOW_TAGS))
             for t in self._stages(1, n + 1):
                 s = self.split_id[(fluent, t)]
-                b_prev = self.boundary_id[t - 1]
-                b_cur = self.boundary_id[t]
-                for v, w in ((0, 1), (1, 0)):
-                    guard = (self._flow(fluent, t, v, w),)
-                    m.add(Implies(guard, self._diff(b_prev, s, LE, -1)))
-                    m.add(Implies(guard, self._diff(s, b_cur, LE, -1)))
-                # constant stages have no transition to place; park the split
-                # at its lower bound (decode never reads it there)
-                for v in (0, 1):
-                    m.add(Implies((self._flow(fluent, t, v, v),), self._var(s, EQ, t - 1)))
+                off = {tag: self._flow(fluent, t, *tag, False) for tag in FLOW_TAGS}
+                moves, stays = (off[0, 0], off[1, 1]), (off[0, 1], off[1, 0])
+                m.add(Implies(moves, self._diff(self.boundary_id[t - 1], s, LE, -1)))
+                m.add(Implies(moves, self._diff(s, self.boundary_id[t], LE, -1)))
+                m.add(Implies(stays, self._var(s, EQ, t - 1)))
 
     # -- action structure -----------------------------------------------------
 

@@ -38,7 +38,13 @@ from tqaplan.domain import (
     raises_of,
 )
 from tqaplan.encoder import Encoder, encode
-from tqaplan.solver import GuardExceededError, brute_force_solve, constraint_holds, solve
+from tqaplan.solver import (
+    Engine,
+    GuardExceededError,
+    brute_force_solve,
+    constraint_holds,
+    solve,
+)
 from tqaplan.theory import default_horizon, instantiate
 from tqaplan.validator import enumerate_models
 
@@ -399,7 +405,7 @@ def test_oracle_equivalence_batch():
 # the encoder that leaves b[0] = 0 and b[N] <= h to the declared domains,
 # parks an unused copy's l at 1 and writes none of the rows that
 # _left_out_rows lists
-GOLDEN_DIGEST = "4dbcd6cd8f3346ed7f6b49e84c24134e8d6889b977d93e81fbd66cf8845730f8"
+GOLDEN_DIGEST = "1d324e60f0a0718e2c8de64468f5d60392b6e0f79a654b1fb7ff646cbae98fa9"
 # (type, copies, height), n*: the minimal stage count at copy cap 1
 GOLDEN_GRID = ((("I", 20, None), 4), (("II", 3, 3), 14), (("III", 3, 3), 17), (("II", 1, 2), 9))
 
@@ -434,7 +440,7 @@ def test_declared_domains_fix_the_first_boundary_and_cap_the_last():
 
 # the same, over random tiny domains: several raisers per fluent, equality
 # resources, interference and temporal actions, which the gadgets lack
-GOLDEN_TINY_DIGEST = "fb23e5cc32ba8fe3f04b505fa6d54ea03366b4ffd7706aabcbaba443e95525fd"
+GOLDEN_TINY_DIGEST = "12a2d7381061e8b4cdaf481b6b6b316faaadef9a5462afa6d3104e826effb761"
 
 
 def test_tiny_domain_models_are_byte_identical_to_the_golden_digest():
@@ -526,18 +532,56 @@ def test_growing_model_rejects_a_falling_stage_count():
     raise AssertionError("a repeated stage count was accepted")
 
 
+def test_each_atom_is_held_once_as_its_own_key():
+    """The encoder holds each literal, comparison and term once, as the key
+    of its kind's table; the negation of a negation is the literal itself;
+    and the atoms a grown model's rows reach are exactly the held ones."""
+    domain = gen_cushing(GadgetSpec("II", 1, 2))
+    grower = Encoder("none", 2)
+    for n in range(1, 10):
+        model, _, _ = grower.advance(instantiate(domain, n, 2))
+    tables = (grower.lits, grower.cmps, grower.terms)
+    assert all(k is v for table in tables for k, v in table.items())
+    reached = {}
+    for con in model.constraints:
+        if isinstance(con, Implies):
+            reached.update((id(a), a) for a in con.guard)
+            con = con.body
+        if isinstance(con, IffConj):
+            atoms = (con.lit, *con.atoms)
+        else:
+            atoms = con.terms if isinstance(con, Lin) else con.lits
+        reached.update((id(a), a) for a in atoms)
+    assert reached.keys() == {id(a) for table in tables for a in table}
+    assert all(grower._not(grower._not(lit)) is lit for lit in list(grower.lits))
+
+
 def _left_out_rows(shape):
     """Rows the encoder leaves to the rest of the model, each negated and
-    paired with the use variable of the copy it speaks about: every copy's
-    span width E - S >= r - l; a timer's S - E <= -1 and an equals window's
-    S - E <= -2; at copy cap 1, the single-provider window cuts on end
-    points, under the conditions emit_implied_cuts writes its rows."""
+    paired with the Boolean that guards it: per fluent and stage, the six
+    single-flow split rows (a transition f01 or f10 puts the split strictly
+    inside the stage, a constant flow f00 or f11 parks it at t - 1; the
+    negation of s = t - 1 is checked as each of its two halves); every
+    copy's span width E - S >= r - l; a timer's S - E <= -1 and an equals
+    window's S - E <= -2; at copy cap 1, the single-provider window cuts on
+    end points, under the conditions emit_implied_cuts writes its rows."""
     d = shape.domain
 
     def at_least(x, y, k):  # x - y >= k, the negation of x - y <= k - 1
         return Lin((Term(1, INT, y), Term(-1, INT, x)), LE, -k)
 
     rows = []
+    for fluent in shape.fluent_names:
+        for t in range(1, shape.n_stages + 1):
+            s = shape.split_id[(fluent, t)]
+            b_prev, b_cur = shape.boundary_id[t - 1], shape.boundary_id[t]
+            for tag in ((0, 1), (1, 0)):
+                f = shape.flow_id[(fluent, t, *tag)]
+                rows += [(f, at_least(b_prev, s, 0)), (f, at_least(s, b_cur, 0))]
+            below, above = Lin((Term(1, INT, s),), LE, t - 2), Lin((Term(-1, INT, s),), LE, -t)
+            for v in (0, 1):
+                f = shape.flow_id[(fluent, t, v, v)]
+                rows += [(f, below), (f, above)]
     for ai, ref in enumerate(shape.actions):
         skill = shape.skill_of(ref) if ref.kind == "skill" else None
         for k in shape.copies():
@@ -596,13 +640,21 @@ def test_left_out_rows_are_implied():
             for n in stage_counts:
                 shape = instantiate(domain, n, cap)
                 model = encode(shape)
+                # brute force's guard reads only the domains, which every
+                # check of a model shares; past it, one engine compiles the
+                # model once and each check's two rows as its tail
+                engine = None
                 for u, negation in _left_out_rows(shape):
                     rows = model.constraints + [Clause((Lit(u),)), negation]
                     probe = CspModel(model.bool_names, model.int_decls, rows)
-                    try:
-                        result, how = brute_force_solve(probe), "brute force"
-                    except GuardExceededError:
-                        result, how = solve(probe), "search"
+                    if engine is None:
+                        try:
+                            result = brute_force_solve(probe)
+                        except GuardExceededError:
+                            engine = Engine()
+                    if engine is not None:
+                        engine.load(probe, len(model.constraints))
+                        result = solve(probe, engine)
                     assert result.status == "unsat", (shape.n_stages, cap, u, negation)
-                    checks[how] += 1
+                    checks["brute force" if engine is None else "search"] += 1
     assert checks["brute force"] >= 400 and checks["search"] >= 400, checks

@@ -223,21 +223,21 @@ def test_find_plan_matches_a_fresh_model_per_probe():
 # (type, copies, height), objective, limits, and what find_plan reports:
 # status, n*, objective value and the node count of every probe
 PINNED_PROBES = [
-    (("II", 3, 3), "makespan", SearchLimits(copy_cap=1), ("found", 14, 28, [0] * 13 + [54])),
-    (("III", 3, 3), "costs", SearchLimits(copy_cap=1), ("found", 17, 414, [0] * 16 + [54])),
+    (("II", 3, 3), "makespan", SearchLimits(copy_cap=1), ("found", 14, 28, [0] * 13 + [15])),
+    (("III", 3, 3), "costs", SearchLimits(copy_cap=1), ("found", 17, 414, [0] * 16 + [15])),
     (
         ("II", 1, 2), "none", SearchLimits(copy_cap=2, horizon=22),
-        ("found", 9, None, [0, 0, 0, 2, 6, 6, 22, 76, 53]),
+        ("found", 9, None, [0, 0, 0, 2, 6, 6, 22, 76, 49]),
     ),
     (
         ("II", 1, 2), "makespan", SearchLimits(copy_cap=2, horizon=22),
-        ("found", 9, 18, [0, 0, 0, 2, 6, 6, 22, 76, 98]),
+        ("found", 9, 18, [0, 0, 0, 2, 6, 6, 22, 76, 94]),
     ),
     (
         ("II", 1, 2), "none", SearchLimits(8, copy_cap=2),
         ("exhausted", None, None, [0, 0, 0, 2, 6, 6, 22, 116]),
     ),
-    (("II", 1, 2), "none", SearchLimits(), ("found", 9, None, [0, 0, 0, 2, 6, 6, 28, 202, 63])),
+    (("II", 1, 2), "none", SearchLimits(), ("found", 9, None, [0, 0, 0, 2, 6, 6, 28, 202, 59])),
 ]
 
 
@@ -264,6 +264,24 @@ def test_per_probe_node_counts_are_pinned(monkeypatch, spec, objective, limits, 
     outcome = find_plan(gen_cushing(GadgetSpec(*spec)), objective, limits)
     value = outcome.plan.objective if outcome.found else None
     assert (outcome.status, outcome.n_found, value, nodes) == want
+
+
+# II m=1 h=3 below its answer: copy cap, stage count, and the nodes that
+# solve takes to refute the single-count model
+HARD_REFUTATIONS = [(None, 9, 208), (None, 10, 952), (2, 10, 182), (2, 11, 1386)]
+
+
+@pytest.mark.parametrize(
+    "cap, n, want",
+    HARD_REFUTATIONS,
+    ids=[f"cap{cap or 'default'}-n{n}" for cap, n, _ in HARD_REFUTATIONS],
+)
+def test_hard_refutations_are_pinned(cap, n, want):
+    """The refutations that need real search take exactly the pinned trees:
+    a row that stops pruning, or a heuristic that drifts, moves a count."""
+    shape = instantiate(gen_cushing(GadgetSpec("II", 1, 3)), n, cap)
+    result = solve(encode(shape), node_budget=10_000)
+    assert (result.status, result.nodes) == ("unsat", want)
 
 
 @pytest.mark.parametrize(
