@@ -1,6 +1,7 @@
-"""Backtracking finite-domain solver with unit propagation, bounds
-consistency, guard/reification propagation, and branch-and-bound
-optimization, plus an exhaustive enumeration oracle for small models.
+"""Conflict-driven finite-domain solver with unit propagation, bounds
+consistency, guard/reification propagation, learned nogoods, backjumping
+and branch-and-bound optimization, plus an exhaustive enumeration oracle
+for small models.
 
 The engine compiles each row of the model, as written, into a tuple of
 clauses over one variable space in which a variable gets its place when
@@ -32,20 +33,35 @@ neighbours before the sweep goes on.  A row waiting in either queue, or
 running, is not queued again; a row that changed a bound and is not yet
 entailed goes back to the queue once it has run.  A row found entailed
 sleeps on the trail: nothing wakes it or runs it until search undoes the
-trail below the point where it fell asleep.  The fixpoint, and so every
-node count, does not depend on this order.
+trail below the point where it fell asleep.  The fixpoint does not depend
+on this order; the trail's order, and so which reasons analysis reads and
+the nogoods it learns, does.
 
-Branching is static and reads no variable names: first the Booleans, those
-watched by the most rows first (ties in id order), then the integers in
-declaration order, those in the objective last.  Every branch tries the
-lower half of the domain first, so a Boolean tries false first.  Names are
-labels for the text form only.
+Search is conflict-driven, as in lazy clause generation.  A node is a
+decision: the next open variable, in a static order that reads no variable
+names (first the Booleans, those watched by the most rows first, ties in id
+order, then the integers in declaration order, those in the objective
+last), gets ``x <= mid``, the lower half of its domain, so a Boolean tries
+false first.  Above the root, every trail entry records its reason, a
+reference to the clause that forced it (None for a decision), and the
+previous entry on the same side of the same variable; no explanation is
+built while propagating.  On a conflict, analysis reads the bounds at any
+trail position back from these chains, rebuilds the explanation of each
+entry it resolves from the clause (the other literals, all false, and a
+refuted linear half; or, for a linear tightening, the other terms of the
+half) and stops at the first unique implication point of the current
+level.  The learned nogood, a clause over bound literals with root facts
+left out, is added as a one-clause row; search backjumps to the level at
+which it is unit, and propagation asserts it, so the other side of a
+decision is only ever reached that way.  Learned rows live for one
+:meth:`Engine.search` call.  Names are labels for the text form only.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -185,7 +201,7 @@ def objective_value(m: CspModel, a: Assignment) -> Optional[int]:
 
 
 class Engine:
-    """Trail-based propagation and chronological backtracking search.
+    """Trail-based propagation and conflict-driven search.
 
     Each variable gets a uid when the engine first meets it, so compiled
     rows stay valid while the model grows.  :meth:`load` takes on a larger
@@ -198,17 +214,31 @@ class Engine:
     for ``<=`` and two for ``=``.  ``shared`` holds the one tuple for each
     distinct bound literal, term pair and terms tuple of compiled rows.
     :meth:`propagate` runs every clause itself and returns False on a
-    conflict, :meth:`_prop_lin_le` tightens the halves of a body and
-    reports a refuted one, and only :meth:`_force` tightens a bound and
-    pushes a trail entry ``(uid, ge, old bound)``; it takes open literals
-    only, so it never fails.
+    conflict, leaving the clause that failed in ``failed``;
+    :meth:`_prop_lin_le` tightens the halves of a body and reports a
+    refuted one, and only :meth:`_force` tightens a bound and pushes a
+    trail entry; it takes open literals only, so it never fails.
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
     row ``idx`` waits in either, runs, or sleeps.  The trail is the one
-    undo log, of two kinds of entry: a bound change ``(uid, ge, old
-    bound)``, and the int ``idx`` of a row found entailed, which sleeps
-    until :meth:`_undo_to` cuts the trail below its entry.
+    undo log, of two kinds of entry: a bound change, and the int ``idx`` of
+    a row found entailed, which sleeps until :meth:`_undo_to` cuts the
+    trail below its entry.  A bound change is ``(uid, ge, old bound)``
+    while no decision is on the stack; above the root it is ``(uid, ge,
+    old bound, reason, prev)``, where ``reason`` is the clause that forced
+    it (None for a decision) and ``prev`` the position of the previous
+    such entry on the same side of the variable, -1 when that side last
+    changed at the root; ``lo_at`` and ``hi_at`` hold each variable's
+    latest one.  ``decisions`` holds the trail position of each decision,
+    so the decision level of a position is the number at or below it.
+
+    A node is a decision.  :meth:`_analyse` derives a 1-UIP nogood from a
+    conflict, and :meth:`_learn` backjumps and appends it to ``cons`` as a
+    one-clause row past the first ``n_rows`` (the model's rows and the
+    bound rows).  Learned rows live for one :meth:`search` call:
+    :meth:`reset` and :meth:`load` cut them, so :meth:`_branch_order`
+    never counts them.
     """
 
     def __init__(self, model: Optional[CspModel] = None):
@@ -219,8 +249,13 @@ class Engine:
         self.watchers: list[list[int]] = []
         self.cons: list[tuple] = []
         self.n_stable = 0
+        self.n_rows = 0  # rows of the model and bound rows; learned rows follow
         self.tail_uids: list[int] = []  # uids watched by rows past the stable ones
-        self.trail: list = []  # (uid, ge, old bound), or a sleeping row's idx
+        self.trail: list = []  # bound changes, or a sleeping row's idx
+        self.lo_at: list[int] = []  # by uid, the latest entry above the root, or -1
+        self.hi_at: list[int] = []
+        self.decisions: list[int] = []  # the trail position of each decision
+        self.failed: Optional[tuple] = None  # the clause of the last conflict
         self.queued: list[bool] = []  # waiting in a queue, running, or asleep
         self.queue: deque[int] = deque()  # woken rows, oldest first
         self.pending: list[int] = []  # the root sweep, from its end
@@ -234,10 +269,11 @@ class Engine:
         self, model: CspModel, n_stable: int, queue_order: Optional[list[int]] = None
     ) -> None:
         """Take on ``model``, whose first ``n_stable`` rows extend the stable
-        rows compiled so far; its other rows replace the previous tail and
-        any bound rows.  Every bound restarts from the model's domains and
-        every row is queued, in ``queue_order`` (row indices, the last one
-        propagated first; model order by default)."""
+        rows compiled so far; its other rows replace the previous tail, any
+        bound rows and any learned rows.  Every bound restarts from the
+        model's domains and every row is queued, in ``queue_order`` (row
+        indices, the last one propagated first; model order by default)."""
+        self._drop_learned()
         cut = self.n_stable
         watchers = self.watchers
         for uid in self.tail_uids:
@@ -260,9 +296,11 @@ class Engine:
             lo[uid], hi[uid] = d_lo, d_hi
         self.n_stable = n_stable
         self._compile(itertools.islice(model.constraints, cut, None))
+        self.n_rows = len(self.cons)
         self.model = model
         self.root_queue = list(range(len(self.cons))) if queue_order is None else queue_order
-        self.trail = []
+        self.trail, self.decisions = [], []
+        self.lo_at, self.hi_at = [-1] * len(lo), [-1] * len(lo)
         self.reset()
         self.nodes = 0
         self.order = None
@@ -357,19 +395,27 @@ class Engine:
 
     # -- domain updates -------------------------------------------------------
 
-    def _force(self, uid: int, ge: bool, k: int) -> None:
+    def _force(self, uid: int, ge: bool, k: int, reason: Optional[tuple]) -> None:
         """Tighten ``x >= k`` when ``ge``, else ``x <= k``: the one place a
         bound changes.  Every caller passes an open literal, ``lo < k <= hi``
         for ``x >= k`` and ``lo <= k < hi`` for ``x <= k``, so the bound
-        tightens and cannot conflict.  The old bound goes on the trail and
-        the rows that watch ``x`` wake."""
-        lo, hi = self.lo, self.hi
+        tightens and cannot conflict.  The old bound goes on the trail, with
+        ``reason`` (the clause that forced it, None for a decision) and the
+        side's previous entry when a decision is on the stack, and the rows
+        that watch ``x`` wake."""
+        lo, hi, trail = self.lo, self.hi, self.trail
         if ge:
-            self.trail.append((uid, True, lo[uid]))
+            old = lo[uid]
             lo[uid] = k
         else:
-            self.trail.append((uid, False, hi[uid]))
+            old = hi[uid]
             hi[uid] = k
+        if self.decisions:
+            at = self.lo_at if ge else self.hi_at
+            trail.append((uid, ge, old, reason, at[uid]))
+            at[uid] = len(trail) - 1
+        else:
+            trail.append((uid, ge, old))
         queued, queue = self.queued, self.queue
         for idx in self.watchers[uid]:
             if not queued[idx]:
@@ -378,14 +424,14 @@ class Engine:
 
     # -- constraint propagation -------------------------------------------------
 
-    def _prop_lin_le(self, body) -> Optional[bool]:
-        """Tighten bounds so that every half ``sum(c * x) <= const`` of
-        ``body`` can hold.  True when all are entailed under current bounds,
-        so the row may sleep on the trail; False while one is still open;
-        None when one is refuted."""
+    def _prop_lin_le(self, clause) -> Optional[bool]:
+        """Tighten bounds so that every half ``sum(c * x) <= const`` of the
+        body of ``clause``, whose literals are all false, can hold.  True
+        when all are entailed under current bounds, so the row may sleep on
+        the trail; False while one is still open; None when one is refuted."""
         lo, hi = self.lo, self.hi
         done = True
-        for terms, const in body:
+        for terms, const in clause[1]:
             mn = mx = 0
             for coef, uid in terms:
                 if coef > 0:
@@ -404,22 +450,22 @@ class Engine:
                 if coef > 0:
                     limit = lo[uid] + slack // coef
                     if limit < hi[uid]:
-                        self._force(uid, False, limit)
+                        self._force(uid, False, limit, clause)
                 else:
                     limit = hi[uid] - slack // (-coef)
                     if limit > lo[uid]:
-                        self._force(uid, True, limit)
+                        self._force(uid, True, limit, clause)
         return done
 
     def propagate(self) -> bool:
         """Run woken rows, then the root sweep, to a fixpoint, each clause
         ``lits or body`` of a row in this loop; False on a conflict: a clause
         whose literals are all false and whose body, if any, has a refuted
-        half."""
+        half.  That clause is left in ``failed``."""
         lo, hi, force, prop_lin_le = self.lo, self.hi, self._force, self._prop_lin_le
         queue, pending, queued, cons = self.queue, self.pending, self.queued, self.cons
         trail = self.trail
-        conflict = False
+        conflict = None
         while True:
             if queue:
                 idx = queue.popleft()
@@ -431,7 +477,8 @@ class Engine:
             # not wake it; it goes back to the queue only if it may force more
             mark = len(trail)
             done = True  # every clause holds under current bounds
-            for lits, body in cons[idx]:
+            for clause in cons[idx]:
+                lits, body = clause
                 unknown = None  # the one open literal
                 for lit in lits:
                     uid, ge, k = lit
@@ -451,9 +498,9 @@ class Engine:
                 else:  # no literal holds, and at most one is open
                     if body is not None:
                         if unknown is None:
-                            held = prop_lin_le(body)
+                            held = prop_lin_le(clause)
                             if held is None:
-                                conflict = True
+                                conflict = clause
                                 break
                             if not held:
                                 done = False
@@ -468,11 +515,12 @@ class Engine:
                             done = False
                             continue
                     elif unknown is None:
-                        conflict = True
+                        conflict = clause
                         break
                     # every other disjunct is false: the one open literal must hold
-                    force(*unknown)
+                    force(*unknown, clause)
             if conflict:
+                self.failed = conflict
                 queued[idx] = False
                 for idx in itertools.chain(queue, pending):
                     queued[idx] = False
@@ -486,6 +534,156 @@ class Engine:
             else:
                 queued[idx] = False
 
+    # -- conflict analysis ------------------------------------------------------
+
+    def _bound_at(self, uid: int, ge: bool, q: int) -> tuple[int, int]:
+        """The lower bound of ``x`` when ``ge``, else its upper bound, before
+        trail position ``q``, and the position of the entry that set it (-1
+        when it was set at the root)."""
+        trail = self.trail
+        if ge:
+            value, pos = self.lo[uid], self.lo_at[uid]
+        else:
+            value, pos = self.hi[uid], self.hi_at[uid]
+        while pos >= q:
+            _, _, value, _, pos = trail[pos]
+        return value, pos
+
+    def _since(self, uid: int, ge: bool, k: int, q: int) -> Optional[int]:
+        """The position of the entry that made the literal ``(uid, ge, k)``
+        true before trail position ``q``: -1 when it held at the root, None
+        when it does not hold before ``q``."""
+        value, pos = self._bound_at(uid, ge, q)
+        if value < k if ge else value > k:
+            return None
+        trail = self.trail
+        while pos >= 0:
+            _, _, old, _, prev = trail[pos]
+            if old < k if ge else old > k:
+                return pos
+            pos = prev
+        return -1
+
+    def _explain(self, clause, q: int, forced: Optional[tuple], add) -> None:
+        """Call ``add(uid, ge, k, pos)`` for literals, each true before trail
+        position ``q`` since ``pos``, that with ``clause`` imply ``forced``,
+        the literal ``(uid, ge, k)`` that the entry at ``q`` made true, or,
+        when ``forced`` is None, that falsify ``clause`` at ``q``.
+
+        The clause forced one of its literals, the one open at ``q``, when
+        its other literals and a linear half were false; or all its literals
+        were false and a half tightened ``forced``'s side of its variable,
+        from the bounds of its other terms.  Either is read back at ``q``."""
+        lits, body = clause
+        open_lit = False
+        for uid, ge, k in lits:
+            # not x >= k is x <= k - 1, and not x <= k is x >= k + 1
+            k = k - 1 if ge else k + 1
+            pos = self._since(uid, not ge, k, q)
+            if pos is None:
+                open_lit = True
+            else:
+                add(uid, not ge, k, pos)
+        if body is None:
+            return
+        bound_at = self._bound_at
+        for terms, const in body:
+            # each term's least value, c * lo for c > 0 and c * hi for c < 0
+            least = [(c, uid, *bound_at(uid, c > 0, q)) for c, uid in terms]
+            total = sum(c * value for c, _, value, _ in least)
+            skip = None
+            if forced is None or open_lit:
+                if total <= const:
+                    continue  # a half that is not refuted
+            else:
+                uid, ge, k = forced
+                for term in least:
+                    c, u, value, _ = term
+                    if u != uid or (c < 0) != ge:
+                        continue
+                    rest = const - (total - c * value)
+                    if rest // c <= k if c > 0 else -(rest // -c) >= k:
+                        skip = term  # the term whose tightening implies forced
+                        break
+                else:
+                    continue
+            for term in least:
+                if term is not skip:
+                    c, uid, value, pos = term
+                    add(uid, c > 0, value, pos)
+            return
+        raise AssertionError("no half of the clause explains the entry")
+
+    def _analyse(self) -> tuple[tuple, int]:
+        """1-UIP analysis of the conflict at ``failed``: resolve it against
+        the reasons of the current level's entries, latest first, until one
+        literal of that level is left.  Returns the learned clause, the
+        negation of the literals left (root facts left out), and the level
+        at which it is unit."""
+        trail, decisions = self.trail, self.decisions
+        start = decisions[-1]
+        need: dict[tuple[int, bool], tuple[int, int]] = {}  # (uid, ge) -> (k, pos)
+        n_open = 0  # literals of need made true at the current level
+
+        def add(uid, ge, k, pos):
+            nonlocal n_open
+            if pos < 0:
+                return
+            have = need.get((uid, ge))
+            if have is not None:
+                if have[0] >= k if ge else have[0] <= k:
+                    return
+                n_open -= have[1] >= start
+            n_open += pos >= start
+            need[uid, ge] = (k, pos)
+
+        self._explain(self.failed, len(trail), None, add)
+        q = len(trail)
+        while True:
+            q -= 1
+            entry = trail[q]
+            if type(entry) is int:
+                continue
+            uid, ge, _, reason, _ = entry
+            have = need.get((uid, ge))
+            if have is None or have[1] != q:
+                continue
+            if n_open == 1:
+                break
+            del need[uid, ge]
+            n_open -= 1
+            self._explain(reason, q, (uid, ge, have[0]), add)
+        lits, level = [], 0
+        for (uid, ge), (k, pos) in need.items():
+            lits.append((uid, not ge, k - 1 if ge else k + 1))
+            if pos < start:
+                level = max(level, bisect_right(decisions, pos))
+        return tuple(lits), level
+
+    def _learn(self, lits: tuple, level: int) -> None:
+        """Backjump to decision level ``level``, where the clause ``lits`` is
+        unit, and append it as a one-clause row queued to run first."""
+        self._undo_to(self.decisions[level])
+        del self.decisions[level:]
+        cons, watchers, idx = self.cons, self.watchers, len(self.cons)
+        cons.append(((lits, None),))
+        for uid, _, _ in lits:
+            watch = watchers[uid]
+            if not watch or watch[-1] != idx:
+                watch.append(idx)
+        self.queued.append(True)
+        self.queue.append(idx)
+
+    def _drop_learned(self) -> None:
+        """Cut the learned rows from ``cons`` and from the watch lists."""
+        n, watchers = self.n_rows, self.watchers
+        for row in itertools.islice(self.cons, n, None):
+            for uid, _, _ in row[0][0]:
+                watch = watchers[uid]
+                while watch and watch[-1] >= n:
+                    watch.pop()
+        del self.cons[n:]
+
     # -- search ------------------------------------------------------------------
 
     def _undo_to(self, mark: int) -> None:
@@ -493,10 +691,14 @@ class Engine:
         for entry in reversed(trail[mark:]):
             if type(entry) is int:  # a row that fell asleep above the mark wakes
                 queued[entry] = False
-            elif entry[1]:  # (uid, ge, old bound)
-                lo[entry[0]] = entry[2]
+                continue
+            uid, ge, old = entry[0], entry[1], entry[2]
+            if ge:
+                lo[uid] = old
             else:
-                hi[entry[0]] = entry[2]
+                hi[uid] = old
+            if len(entry) > 3:  # above the root: the side's previous entry is its latest
+                (self.lo_at if ge else self.hi_at)[uid] = entry[4]
         del trail[mark:]
 
     def _next_var(self, start: int) -> int:
@@ -510,41 +712,37 @@ class Engine:
     def search(self, deadline: float, node_budget: int):
         """``(status, x)``: x is the assignment when SAT, the budget that
         ran out (``"node budget"`` or ``"time budget"``) at a limit, and
-        None when UNSAT."""
+        None when UNSAT.  Each node decides ``x <= mid`` on the next open
+        variable; each conflict above the root adds a learned row and
+        backjumps to the level at which it asserts."""
         if not self.propagate():
             return UNSAT, None
         if self.order is None:
             self.order = self._branch_order()
-        order, lo, hi = self.order, self.lo, self.hi
-        stack: list[list] = []
+        order, lo, hi, trail, decisions = self.order, self.lo, self.hi, self.trail, self.decisions
+        starts: list[int] = []  # by level, the order position of its decision
         pos = 0
         while True:
-            # a consistent node: a solution, or a frame for the next open
-            # variable with its two windows, x <= mid first, then x > mid
             pos = self._next_var(pos)
             if pos == len(order):
                 return SAT, self._extract()
+            self.nodes += 1
+            if self.nodes > node_budget:
+                return LIMIT, "node budget"
+            if time.monotonic() > deadline:
+                return LIMIT, "time budget"
             uid = order[pos]
-            mid = (lo[uid] + hi[uid]) // 2
-            stack.append([len(self.trail), pos, ((uid, False, mid), (uid, True, mid + 1)), 0])
-            while True:  # down the next window that propagates
-                if not stack:
+            decisions.append(len(trail))
+            starts.append(pos)
+            self._force(uid, False, (lo[uid] + hi[uid]) // 2, None)
+            while not self.propagate():
+                if not decisions:
                     return UNSAT, None
-                frame = stack[-1]
-                mark, pos, windows, child = frame
-                if child == 2:
-                    stack.pop()
-                    continue
-                frame[3] = child + 1
-                self._undo_to(mark)
-                self.nodes += 1
-                if self.nodes > node_budget:
-                    return LIMIT, "node budget"
-                if time.monotonic() > deadline:
-                    return LIMIT, "time budget"
-                self._force(*windows[child])
-                if self.propagate():
-                    break
+                lits, level = self._analyse()
+                # variables before the next decision's were fixed at or below level
+                pos = starts[level]
+                del starts[level:]
+                self._learn(lits, level)
 
     def _extract(self) -> Assignment:
         lo = self.lo
@@ -553,16 +751,20 @@ class Engine:
         )
 
     def reset(self) -> None:
-        """Back to the root: every row awake and in the root sweep, bound
-        rows first."""
+        """Back to the root without learned rows: every row awake and in the
+        root sweep, bound rows first."""
         self._undo_to(0)
+        self.decisions = []
+        self._drop_learned()
         self.queue.clear()
         self.pending = self.root_queue + list(range(len(self.root_queue), len(self.cons)))
         self.queued = [True] * len(self.cons)
 
     def add_bound(self, terms: tuple[Term, ...], const: int) -> None:
-        """Compile the row ``sum(terms) <= const`` and queue it to run first."""
+        """Compile the row ``sum(terms) <= const`` and queue it to run first.
+        Called at the root, with no learned rows."""
         self._compile((Lin(terms, LE, const),))
+        self.n_rows = len(self.cons)
         self.queued.append(True)
         self.queue.append(len(self.cons) - 1)
 
@@ -578,10 +780,10 @@ def solve(
     """Decide satisfiability (optimizing when the model has an objective).
 
     ``engine``, if given, has just loaded ``m`` (see :meth:`Engine.load`);
-    otherwise ``m`` is compiled here.  The budgets, in seconds and in nodes,
-    cover the whole solve and must be positive.  Every satisfying assignment
-    returned has been re-checked against the raw constraint list; optimal
-    results come from a closed branch-and-bound.
+    otherwise ``m`` is compiled here.  The budgets, in seconds and in nodes
+    (decisions), cover the whole solve and must be positive.  Every
+    satisfying assignment returned has been re-checked against the raw
+    constraint list; optimal results come from a closed branch-and-bound.
     """
     check_budgets(time_budget, node_budget)
     if engine is None:
@@ -613,18 +815,19 @@ def brute_force_solve(m: CspModel, guard: int = 1 << 24) -> SolveResult:
     branch as soon as some fully-assigned constraint fails.
 
     With an objective, returns the true optimum; the search space (product
-    of domain sizes) must stay within the guard.
+    of domain sizes) must stay within the guard, which reads only the
+    declarations, so a model past it is refused before the model check.
     """
-    m.check_well_formed()
     space = 1
     for _ in range(m.n_bools):
         space *= 2
         if space > guard:
             raise GuardExceededError(f"search space exceeds guard {guard}")
     for _, lo, hi in m.int_decls:
-        space *= hi - lo + 1
+        space *= max(hi - lo + 1, 0)
         if space > guard:
             raise GuardExceededError(f"search space exceeds guard {guard}")
+    m.check_well_formed()
 
     nb, ni = m.n_bools, m.n_ints
     nv = nb + ni

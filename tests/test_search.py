@@ -227,17 +227,17 @@ PINNED_PROBES = [
     (("III", 3, 3), "costs", SearchLimits(copy_cap=1), ("found", 17, 414, [0] * 16 + [15])),
     (
         ("II", 1, 2), "none", SearchLimits(copy_cap=2, horizon=22),
-        ("found", 9, None, [0, 0, 0, 2, 6, 6, 22, 76, 49]),
+        ("found", 9, None, [0, 0, 0, 1, 3, 4, 8, 21, 24]),
     ),
     (
         ("II", 1, 2), "makespan", SearchLimits(copy_cap=2, horizon=22),
-        ("found", 9, 18, [0, 0, 0, 2, 6, 6, 22, 76, 94]),
+        ("found", 9, 18, [0, 0, 0, 1, 3, 4, 8, 21, 33]),
     ),
     (
         ("II", 1, 2), "none", SearchLimits(8, copy_cap=2),
-        ("exhausted", None, None, [0, 0, 0, 2, 6, 6, 22, 116]),
+        ("exhausted", None, None, [0, 0, 0, 1, 3, 4, 8, 25]),
     ),
-    (("II", 1, 2), "none", SearchLimits(), ("found", 9, None, [0, 0, 0, 2, 6, 6, 28, 202, 59])),
+    (("II", 1, 2), "none", SearchLimits(), ("found", 9, None, [0, 0, 0, 1, 3, 4, 10, 31, 27])),
 ]
 
 
@@ -268,7 +268,9 @@ def test_per_probe_node_counts_are_pinned(monkeypatch, spec, objective, limits, 
 
 # II m=1 h=3 below its answer: copy cap, stage count, and the nodes that
 # solve takes to refute the single-count model
-HARD_REFUTATIONS = [(None, 9, 208), (None, 10, 952), (2, 10, 182), (2, 11, 1386)]
+HARD_REFUTATIONS = [
+    (None, 9, 21), (None, 10, 40), (None, 11, 64), (2, 10, 21), (2, 11, 42), (2, 12, 90)
+]
 
 
 @pytest.mark.parametrize(

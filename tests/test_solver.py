@@ -94,14 +94,15 @@ def test_node_budget_reports_limit():
 
 
 def test_a_limit_names_the_budget_that_ran_out():
-    # three pigeons, two holes: no propagation refutes it at the root
+    # four pigeons, three holes: no propagation refutes it at the root, and
+    # search needs more than one decision (three pigeons in two holes need one)
     m = CspModel()
-    x = [[m.new_bool(f"p{i}h{j}") for j in range(2)] for i in range(3)]
+    x = [[m.new_bool(f"p{i}h{j}") for j in range(3)] for i in range(4)]
     for row in x:
         m.add(Clause(tuple(Lit(b) for b in row)))
-    for j in range(2):
-        for a in range(3):
-            for b in range(a + 1, 3):
+    for j in range(3):
+        for a in range(4):
+            for b in range(a + 1, 4):
                 m.add(Clause((Lit(x[a][j], False), Lit(x[b][j], False))))
     res = solve(m, node_budget=1)
     assert (res.status, res.reason) == ("limit", "node budget")
@@ -149,6 +150,17 @@ def test_brute_force_guard():
         m.new_int(f"x{i}", 0, 9)
     with pytest.raises(GuardExceededError):
         brute_force_solve(m)
+    # the guard reads only the declarations and runs before the model check;
+    # a model within it is still checked before it is enumerated
+    m.add(Clause((Lit(3),)))
+    with pytest.raises(GuardExceededError):
+        brute_force_solve(m)
+    small = CspModel(int_decls=[("x", 0, 9)], constraints=[Clause((Lit(3),))])
+    with pytest.raises(ModelFormatError, match="boolean id 3 out of range"):
+        brute_force_solve(small)
+    empty = CspModel(int_decls=[("x", 0, -2), ("y", 0, -2)])
+    with pytest.raises(ModelFormatError, match="empty domain"):
+        brute_force_solve(empty, guard=0)
 
 
 def test_agreement_random_models():
@@ -361,9 +373,9 @@ def test_nothing_is_forced_while_the_body_may_hold_or_the_guard_is_open(pin_g1, 
 
 
 # sha256 over (status, nodes, assignment, objective) of the solves in
-# test_search_is_pinned_on_random_models, computed on the engine that read
-# integer atoms as <=, >= and == before every atom became a bound literal
-RANDOM_SEARCH_DIGEST = "31fe81e61775fa714c7ef5a9fb52ddae3dac6a736e6f2707f7da21a813ca5a95"
+# test_search_is_pinned_on_random_models, computed on the conflict-driven
+# engine, whose node is a decision
+RANDOM_SEARCH_DIGEST = "eb8bcd1334c67cab6362c225e09a0c04b9bd6e9233924643e219454db8a3e335"
 
 
 def test_search_is_pinned_on_random_models():
@@ -424,23 +436,32 @@ def _asleep(engine):
     return [entry for entry in engine.trail if type(entry) is int]
 
 
+def _false(engine, lit) -> bool:
+    uid, ge, k = lit
+    return engine.hi[uid] < k if ge else engine.lo[uid] > k
+
+
 class _AuditedEngine(Engine):
     """Every bound change tightens an open literal.  After every propagation,
     at the root and at every node, conflicts included: every domain is
     non-empty, a row is marked queued exactly when it sleeps, it sleeps
     once, and no row that slept when propagation began has run.  After
     every cut of the trail, both queues are empty and a row is marked queued
-    exactly when its id remains on the trail.  It loads one model."""
+    exactly when its id remains on the trail.  Each learned clause is false
+    before the backjump and unit after it: one literal open, the rest false.
+    ``learned`` holds each one with the bound rows of its search.  It loads
+    one model."""
 
     def __init__(self, model):
         super().__init__()
         self.cons = _RowReads()
+        self.bounds, self.learned = [], []
         self.load(model, len(model.constraints))
 
-    def _force(self, uid, ge, k):
+    def _force(self, uid, ge, k, reason):
         lo, hi = self.lo[uid], self.hi[uid]
         assert lo < k <= hi if ge else lo <= k < hi, (uid, ge, k, lo, hi)
-        super()._force(uid, ge, k)
+        super()._force(uid, ge, k, reason)
 
     def _undo_to(self, mark):
         super()._undo_to(mark)
@@ -458,6 +479,19 @@ class _AuditedEngine(Engine):
         assert [i for i, q in enumerate(self.queued) if q] == sorted(asleep)
         assert not asleep_before & set(self.cons.ran)
         return ok
+
+    def _learn(self, lits, level):
+        assert all(_false(self, lit) for lit in lits), lits
+        super()._learn(lits, level)
+        open_lits = [lit for lit in lits if not _false(self, lit)]
+        assert len(open_lits) == 1, lits
+        uid, ge, k = open_lits[0]
+        assert self.lo[uid] < k if ge else self.hi[uid] > k, lits
+        self.learned.append((lits, tuple(self.bounds)))
+
+    def add_bound(self, terms, const):
+        self.bounds.append((terms, const))
+        super().add_bound(terms, const)
 
 
 def test_a_row_that_forces_its_own_variable_runs_once_and_sleeps_once():
@@ -484,8 +518,9 @@ def test_rows_sleep_once_and_never_run_asleep():
 # Engine(m) on four models and of each probe of two grown engines, and the
 # rows each grown engine's search ran, computed on the encoder that leaves
 # b[0] = 0 and b[N] <= h to the declared domains, parks an unused copy's l
-# at 1 and writes none of the rows that test_encoder._left_out_rows lists
-COMPILED_ROWS_DIGEST = "37b43ff5d5cbbe1b87ac4d454ee96d20ffb10b48ee2c8371fc37449846bc1404"
+# at 1 and writes none of the rows that test_encoder._left_out_rows lists;
+# the rows run are those of the conflict-driven search
+COMPILED_ROWS_DIGEST = "e48f819fbe9c63250cdc48332d46f96c18a328d153f544e83f2a00b5a065c921"
 
 
 def test_compiled_rows_are_pinned():
@@ -521,3 +556,43 @@ def test_compiled_rows_are_pinned():
             solve(model, engine)
         digest.update(repr(len(engine.cons.ran)).encode())
     assert digest.hexdigest() == COMPILED_ROWS_DIGEST
+
+
+def _negated(m: CspModel, engine: Engine, lits, bounds) -> CspModel:
+    """``m`` without its objective, with the bound rows ``(terms, const)``
+    and the negation of the learned clause ``lits`` as rows."""
+    var = {uid: (BOOL, v) for v, uid in enumerate(engine.bool_uid)}
+    var.update({uid: (INT, v) for v, uid in enumerate(engine.int_uid)})
+    rows = list(m.constraints) + [Lin(terms, LE, const) for terms, const in bounds]
+    for uid, ge, k in lits:
+        space, v = var[uid]
+        # not x >= k is x <= k - 1, and not x <= k is -x <= -(k + 1)
+        rows.append(Lin((Term(1, space, v),), LE, k - 1) if ge else Lin((Term(-1, space, v),), LE, -k - 1))
+    return dataclasses.replace(m, constraints=rows, objective=None)
+
+
+def test_every_learned_clause_is_implied_by_the_model():
+    """The oracle for learning: a learned clause holds in every solution of
+    the model and the bound rows of its search, so with its negation added
+    the enumeration finds none."""
+    rng = random.Random(27)
+    models = [random_small_model(rng) for _ in range(1000)]
+    models += [_with_guarded_clauses(random_small_model(rng), rng) for _ in range(1000)]
+    learned = 0
+    for m in models:
+        engine = _AuditedEngine(m)
+        solve(m, engine)
+        for lits, bounds in engine.learned:
+            assert brute_force_solve(_negated(m, engine, lits, bounds)).is_unsat, lits
+        learned += len(engine.learned)
+    assert learned >= 200
+
+
+def test_the_clauses_learned_in_a_refutation_are_implied():
+    # II m=1 h=2 at copy cap 2 has no plan at N=8, and search must show it
+    m = encode(instantiate(gen_cushing(GadgetSpec("II", 1, 2)), 8, 2))
+    engine = _AuditedEngine(m)
+    assert solve(m, engine).is_unsat
+    assert engine.learned
+    for lits, bounds in engine.learned:
+        assert solve(_negated(m, engine, lits, bounds)).is_unsat, lits
