@@ -196,38 +196,37 @@ def _parse_range(flag: str, text: str) -> range:
 
 
 def cmd_bench(args) -> int:
-    # build every instance first, so that a bad one exits before any is solved
+    # build every instance and open the CSV first, so that a bad instance or
+    # an unwritable path exits before any instance is solved
     heights = _parse_range("--height", args.height) if args.height else [None]
     specs = [
         GadgetSpec(args.type, m, h) for m in _parse_range("--copies", args.copies) for h in heights
     ]
     limits = _limits_from(args)
-    rows = []
-    for spec in specs:
-        m, h = spec.copies, spec.height
-        domain = gen_cushing(spec)
-        instance = f"{args.type.lower()}-m{m}" + (f"-h{h}" if h else "")
-        outcome = find_plan(
-            domain, objective=args.objective, limits=limits, geometric=args.geometric_n
-        )
-        row = _run_record(instance, outcome)
-        row.update(type=args.type, copies=m, height=h)
-        if outcome.found:
-            report = validate_plan(domain, outcome.plan)
-            row["verdict"] = "valid" if report.is_valid else "invalid-plan"
-        rows.append(row)
-        print(
-            f"{instance}: {row['verdict']} n={outcome.n_found} {row['wall_ms']}ms",
-            file=sys.stderr,
-        )
     out_path = Path(args.out)
     new_file = not out_path.exists()
     with out_path.open("a", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         if new_file:
             writer.writeheader()
-        writer.writerows(rows)
-    print(f"{len(rows)} records appended to {args.out}", file=sys.stderr)
+        for spec in specs:
+            m, h = spec.copies, spec.height
+            domain = gen_cushing(spec)
+            instance = f"{args.type.lower()}-m{m}" + (f"-h{h}" if h else "")
+            outcome = find_plan(
+                domain, objective=args.objective, limits=limits, geometric=args.geometric_n
+            )
+            row = _run_record(instance, outcome)
+            row.update(type=args.type, copies=m, height=h)
+            if outcome.found:
+                report = validate_plan(domain, outcome.plan)
+                row["verdict"] = "valid" if report.is_valid else "invalid-plan"
+            writer.writerow(row)
+            print(
+                f"{instance}: {row['verdict']} n={outcome.n_found} {row['wall_ms']}ms",
+                file=sys.stderr,
+            )
+    print(f"{len(specs)} records appended to {args.out}", file=sys.stderr)
     return 0
 
 

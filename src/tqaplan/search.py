@@ -165,6 +165,8 @@ class SearchLimits:
             raise ValueError("max_n must be at least 1")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if self.copy_cap is not None and self.copy_cap < 1:
+            raise ValueError(f"copy cap must be >= 1, got {self.copy_cap}")
         check_budgets(self.time_budget, self.node_budget)
 
 

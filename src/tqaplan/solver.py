@@ -23,7 +23,8 @@ linear halves, and ``_force`` is the one place a bound changes.  ``_force``
 is only given open literals, so it tightens a bound and cannot conflict: a
 conflict is found only in ``propagate``, at a clause whose literals are all
 false and whose body, if any, has a refuted linear half.  A model that
-grows keeps its compiled rows: only new rows and a tail are compiled.
+grows keeps its compiled rows: only new rows and a tail are compiled, and
+the next load drops that tail with every row added after it.
 
 Propagation runs rows from two queues.  A bound change wakes the rows
 that watch its variable into a FIFO queue, which runs oldest first; the
@@ -53,8 +54,11 @@ half) and stops at the first unique implication point of the current
 level.  The learned nogood, a clause over bound literals with root facts
 left out, is added as a one-clause row; search backjumps to the level at
 which it is unit, and propagation asserts it, so the other side of a
-decision is only ever reached that way.  Learned rows live for one
-:meth:`Engine.search` call.  Names are labels for the text form only.
+decision is only ever reached that way.  Learned rows last, like the
+bound rows of branch and bound, until the next :meth:`Engine.load`: a
+bound row only tightens, so each improvement backjumps to the root it
+reached and keeps every learned row.  Names are labels for the text form
+only.
 """
 
 from __future__ import annotations
@@ -205,9 +209,10 @@ class Engine:
 
     Each variable gets a uid when the engine first meets it, so compiled
     rows stay valid while the model grows.  :meth:`load` takes on a larger
-    model: one pass of :meth:`_compile` compiles its rows past the stable
-    ones compiled so far, and the rest form a tail that replaces the
-    previous one.  A bound literal ``(uid, ge, k)`` is ``x >= k`` when
+    model: it drops every row past the stable ones (the previous tail, bound
+    rows and learned rows), and one pass of :meth:`_compile` compiles the
+    model's rows past the stable ones compiled so far, the last of them the
+    new tail.  A bound literal ``(uid, ge, k)`` is ``x >= k`` when
     ``ge``, else ``x <= k``.  A row is a tuple of clauses ``(lits, body)``:
     the bound literals ``lits``, or ``body`` when it is not None, a linear
     body of halves ``(terms, const)``, each ``sum(c * x) <= const``, one
@@ -235,10 +240,9 @@ class Engine:
 
     A node is a decision.  :meth:`_analyse` derives a 1-UIP nogood from a
     conflict, and :meth:`_learn` backjumps and appends it to ``cons`` as a
-    one-clause row past the first ``n_rows`` (the model's rows and the
-    bound rows).  Learned rows live for one :meth:`search` call:
-    :meth:`reset` and :meth:`load` cut them, so :meth:`_branch_order`
-    never counts them.
+    one-clause row.  :meth:`add_bound` backjumps to the root and appends a
+    bound row.  Learned rows and bound rows last until the next
+    :meth:`load`; :meth:`_branch_order` runs before the first of them.
     """
 
     def __init__(self, model: Optional[CspModel] = None):
@@ -249,8 +253,6 @@ class Engine:
         self.watchers: list[list[int]] = []
         self.cons: list[tuple] = []
         self.n_stable = 0
-        self.n_rows = 0  # rows of the model and bound rows; learned rows follow
-        self.tail_uids: list[int] = []  # uids watched by rows past the stable ones
         self.trail: list = []  # bound changes, or a sleeping row's idx
         self.lo_at: list[int] = []  # by uid, the latest entry above the root, or -1
         self.hi_at: list[int] = []
@@ -269,18 +271,16 @@ class Engine:
         self, model: CspModel, n_stable: int, queue_order: Optional[list[int]] = None
     ) -> None:
         """Take on ``model``, whose first ``n_stable`` rows extend the stable
-        rows compiled so far; its other rows replace the previous tail, any
-        bound rows and any learned rows.  Every bound restarts from the
-        model's domains and every row is queued, in ``queue_order`` (row
-        indices, the last one propagated first; model order by default)."""
-        self._drop_learned()
+        rows compiled so far; every row added since the last load (its tail,
+        bound rows and learned rows) goes, and the model's other rows form
+        the new tail.  Every bound restarts from the model's domains and
+        every row is queued, in ``queue_order`` (row indices, the last one
+        propagated first; model order by default)."""
         cut = self.n_stable
         watchers = self.watchers
-        for uid in self.tail_uids:
-            watch = watchers[uid]
+        for watch in watchers:  # each watch list is in row order
             while watch and watch[-1] >= cut:
                 watch.pop()
-        self.tail_uids = []
         del self.cons[cut:]
         model.check_well_formed(cut)
         for uids, count in ((self.bool_uid, model.n_bools), (self.int_uid, model.n_ints)):
@@ -296,12 +296,12 @@ class Engine:
             lo[uid], hi[uid] = d_lo, d_hi
         self.n_stable = n_stable
         self._compile(itertools.islice(model.constraints, cut, None))
-        self.n_rows = len(self.cons)
         self.model = model
-        self.root_queue = list(range(len(self.cons))) if queue_order is None else queue_order
+        self.queue.clear()
+        self.pending = list(range(len(self.cons)) if queue_order is None else queue_order)
+        self.queued = [True] * len(self.cons)
         self.trail, self.decisions = [], []
         self.lo_at, self.hi_at = [-1] * len(lo), [-1] * len(lo)
-        self.reset()
         self.nodes = 0
         self.order = None
 
@@ -324,8 +324,7 @@ class Engine:
         one tuple equal to it: share(x, x) for each x of xs is map(share, xs, xs)."""
         share = self.shared.setdefault
         bool_uid, int_uid = self.bool_uid, self.int_uid
-        cons, watchers, tail_uids = self.cons, self.watchers, self.tail_uids
-        n_stable, idx = self.n_stable, len(cons)
+        cons, watchers, idx = self.cons, self.watchers, len(self.cons)
         for con in rows:
             kind = type(con)
             lits = []  # the clause's bound literals, so far
@@ -389,8 +388,6 @@ class Engine:
                 watch = watchers[uid]
                 if not watch or watch[-1] != idx:
                     watch.append(idx)
-            if idx >= n_stable:
-                tail_uids += uids
             idx += 1
 
     # -- domain updates -------------------------------------------------------
@@ -674,31 +671,22 @@ class Engine:
         self.queued.append(True)
         self.queue.append(idx)
 
-    def _drop_learned(self) -> None:
-        """Cut the learned rows from ``cons`` and from the watch lists."""
-        n, watchers = self.n_rows, self.watchers
-        for row in itertools.islice(self.cons, n, None):
-            for uid, _, _ in row[0][0]:
-                watch = watchers[uid]
-                while watch and watch[-1] >= n:
-                    watch.pop()
-        del self.cons[n:]
-
     # -- search ------------------------------------------------------------------
 
     def _undo_to(self, mark: int) -> None:
+        """Undo the trail down to ``mark``, a decision's position: each bound
+        and its side's latest entry return, and each row asleep above wakes."""
         trail, lo, hi, queued = self.trail, self.lo, self.hi, self.queued
+        lo_at, hi_at = self.lo_at, self.hi_at
         for entry in reversed(trail[mark:]):
-            if type(entry) is int:  # a row that fell asleep above the mark wakes
+            if type(entry) is int:
                 queued[entry] = False
                 continue
-            uid, ge, old = entry[0], entry[1], entry[2]
+            uid, ge, old, _, prev = entry
             if ge:
-                lo[uid] = old
+                lo[uid], lo_at[uid] = old, prev
             else:
-                hi[uid] = old
-            if len(entry) > 3:  # above the root: the side's previous entry is its latest
-                (self.lo_at if ge else self.hi_at)[uid] = entry[4]
+                hi[uid], hi_at[uid] = old, prev
         del trail[mark:]
 
     def _next_var(self, start: int) -> int:
@@ -750,21 +738,14 @@ class Engine:
             tuple(bool(lo[uid]) for uid in self.bool_uid), tuple(lo[uid] for uid in self.int_uid)
         )
 
-    def reset(self) -> None:
-        """Back to the root without learned rows: every row awake and in the
-        root sweep, bound rows first."""
-        self._undo_to(0)
-        self.decisions = []
-        self._drop_learned()
-        self.queue.clear()
-        self.pending = self.root_queue + list(range(len(self.root_queue), len(self.cons)))
-        self.queued = [True] * len(self.cons)
-
     def add_bound(self, terms: tuple[Term, ...], const: int) -> None:
-        """Compile the row ``sum(terms) <= const`` and queue it to run first.
-        Called at the root, with no learned rows."""
+        """Backjump to the root, compile the row ``sum(terms) <= const`` and
+        queue it to run first.  A row added keeps every bound and learned
+        row derived so far valid, so search resumes from the root it reached."""
+        if self.decisions:
+            self._undo_to(self.decisions[0])
+            self.decisions = []
         self._compile((Lin(terms, LE, const),))
-        self.n_rows = len(self.cons)
         self.queued.append(True)
         self.queue.append(len(self.cons) - 1)
 
@@ -801,7 +782,6 @@ def solve(
             return SolveResult(SAT, x, nodes=engine.nodes)
         # branch and bound: search again for a strictly better objective
         best, best_val = x, objective_value(m, x)
-        engine.reset()
         engine.add_bound(m.objective, best_val - 1)
 
 

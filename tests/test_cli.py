@@ -240,6 +240,18 @@ def test_bench_reads_no_document_and_takes_no_strict_io_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_opens_its_csv_before_solving(tmp_path, capsys, monkeypatch):
+    """An --out that cannot be opened exits 3 with one line, and nothing is solved."""
+    solved = []
+    monkeypatch.setattr("tqaplan.cli.find_plan", lambda *args, **kwargs: solved.append(args))
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["bench", "--type", "II", "--copies", "1", "--height", "2", "--max-n", "2"]
+    assert run([*argv, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not solved
+
+
 def test_directory_paths_are_input_errors(tmp_path, capsys):
     domain, plan = _solved_gadget(tmp_path)
     capsys.readouterr()

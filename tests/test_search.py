@@ -231,7 +231,7 @@ PINNED_PROBES = [
     ),
     (
         ("II", 1, 2), "makespan", SearchLimits(copy_cap=2, horizon=22),
-        ("found", 9, 18, [0, 0, 0, 1, 3, 4, 8, 21, 33]),
+        ("found", 9, 18, [0, 0, 0, 1, 3, 4, 8, 21, 30]),
     ),
     (
         ("II", 1, 2), "none", SearchLimits(8, copy_cap=2),

@@ -310,23 +310,15 @@ def test_the_root_fixpoint_does_not_depend_on_the_queue_order():
         assert fixpoints[0] == fixpoints[1] == fixpoints[2]
 
 
-def test_reset_after_a_solve_wakes_every_row():
-    """Rows asleep on the trail when a search ends are all released: the
-    root fixpoint after reset is that of a fresh engine with the same rows."""
+def test_a_load_after_a_solve_drops_every_row_added_since_the_last():
+    """Bound rows and learned rows go with the next load, and every row
+    wakes: the engine is that of a fresh one, and so is its root fixpoint."""
     for m in _schedule_models(15):
-        engine, bounds = Engine(m), []
-        compile_bound = engine.add_bound
-
-        def add_bound(terms, const):
-            bounds.append((terms, const))
-            compile_bound(terms, const)
-
-        engine.add_bound = add_bound
-        solve(m, engine=engine)
-        engine.reset()
+        engine = Engine(m)
+        solve(m, engine)
+        engine.load(m, len(m.constraints))
         fresh = Engine(m)
-        for terms, const in bounds:
-            fresh.add_bound(terms, const)
+        assert (engine.cons, engine.watchers) == (fresh.cons, fresh.watchers)
         assert _root_fixpoint(engine) == _root_fixpoint(fresh)
 
 
@@ -374,8 +366,9 @@ def test_nothing_is_forced_while_the_body_may_hold_or_the_guard_is_open(pin_g1, 
 
 # sha256 over (status, nodes, assignment, objective) of the solves in
 # test_search_is_pinned_on_random_models, computed on the conflict-driven
-# engine, whose node is a decision
-RANDOM_SEARCH_DIGEST = "eb8bcd1334c67cab6362c225e09a0c04b9bd6e9233924643e219454db8a3e335"
+# engine, whose node is a decision and whose branch and bound keeps its
+# learned rows and resumes from the root it reached
+RANDOM_SEARCH_DIGEST = "1b818b0e696b6d0300b0d24d41f39357a000481efabc38f92946d036d753e57c"
 
 
 def test_search_is_pinned_on_random_models():
@@ -445,7 +438,8 @@ class _AuditedEngine(Engine):
     """Every bound change tightens an open literal.  After every propagation,
     at the root and at every node, conflicts included: every domain is
     non-empty, a row is marked queued exactly when it sleeps, it sleeps
-    once, and no row that slept when propagation began has run.  After
+    once, no row that slept when propagation began has run, and no row that
+    slept at the root has run.  After
     every cut of the trail, both queues are empty and a row is marked queued
     exactly when its id remains on the trail.  Each learned clause is false
     before the backjump and unit after it: one literal open, the rest false.
@@ -455,7 +449,7 @@ class _AuditedEngine(Engine):
     def __init__(self, model):
         super().__init__()
         self.cons = _RowReads()
-        self.bounds, self.learned = [], []
+        self.bounds, self.learned, self.asleep_at_root = [], [], set()
         self.load(model, len(model.constraints))
 
     def _force(self, uid, ge, k, reason):
@@ -478,6 +472,9 @@ class _AuditedEngine(Engine):
         assert len(set(asleep)) == len(asleep)
         assert [i for i, q in enumerate(self.queued) if q] == sorted(asleep)
         assert not asleep_before & set(self.cons.ran)
+        assert not self.asleep_at_root & set(self.cons.ran)
+        root = self.trail[: self.decisions[0]] if self.decisions else self.trail
+        self.asleep_at_root.update(entry for entry in root if type(entry) is int)
         return ok
 
     def _learn(self, lits, level):
@@ -519,8 +516,9 @@ def test_rows_sleep_once_and_never_run_asleep():
 # rows each grown engine's search ran, computed on the encoder that leaves
 # b[0] = 0 and b[N] <= h to the declared domains, parks an unused copy's l
 # at 1 and writes none of the rows that test_encoder._left_out_rows lists;
-# the rows run are those of the conflict-driven search
-COMPILED_ROWS_DIGEST = "e48f819fbe9c63250cdc48332d46f96c18a328d153f544e83f2a00b5a065c921"
+# the rows run are those of the conflict-driven search, whose branch and
+# bound resumes from the root it reached
+COMPILED_ROWS_DIGEST = "a073a4d66548c962d5b3a0a5846797e75b7c0cdf007891610e8a738250209f13"
 
 
 def test_compiled_rows_are_pinned():
