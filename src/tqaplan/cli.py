@@ -4,9 +4,10 @@ validate plans, and run benchmark sweeps into a CSV.
 Exit codes for solve: 0 plan found, 1 stage counts exhausted, 2 resource
 limit, 3 input error.  Validate: 0 valid, 1 invalid, 3 malformed input.
 Every command exits 3 on an input error, a malformed or missing argument
-included, with a one-line message on stderr, and 141 (128 + SIGPIPE, as a
-shell reports a process killed by a broken pipe) when its standard output
-is closed early.
+included, with a one-line message on stderr; 2 when it runs out of memory,
+with the one line ``resource limit reached: memory``; and 141 (128 +
+SIGPIPE, as a shell reports a process killed by a broken pipe) when its
+standard output is closed early.
 """
 
 from __future__ import annotations
@@ -315,7 +316,12 @@ def main(argv=None) -> int:
         # unreadable paths, malformed arguments, and documents or flag values
         # the library rejects (every format error it raises is a ValueError)
         return _fail(str(exc))
-    return code
+    except MemoryError:
+        pass  # reported below, once the handler has let go of the frames holding the memory
+    else:
+        return code
+    print("resource limit reached: memory", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

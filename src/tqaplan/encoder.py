@@ -30,8 +30,9 @@ with the hook writing in place, so it writes one model in one fixed order.
 
 from __future__ import annotations
 
+import itertools
 from math import lcm
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .cpmodel import (
     BOOL,
@@ -92,7 +93,8 @@ class Encoder:
         self.flow_id, self.use_id = {}, {}
         self.left_id, self.right_id, self.start_id, self.end_id = {}, {}, {}, {}
         self.boundary_id, self.split_id = {}, {}
-        self._family_rows: list[list[int]] = [[] for _ in self._families()]
+        # per family, the span of stable rows it wrote at each advance
+        self._family_rows: list[list[range]] = [[] for _ in self._families()]
 
     # -- shared atoms and lookups ----------------------------------------------
 
@@ -552,13 +554,15 @@ class Encoder:
 
     def advance(
         self, shape: TheoryShape, *, inline: bool = False
-    ) -> tuple[CspModel, int, list[int]]:
+    ) -> tuple[CspModel, int, Iterator[int]]:
         """Grow to ``shape`` and return its model, the number of stable rows
         that open it (the rows after them are this count's tail), and the
-        row indices family by family, in the order the families are written.
-        The model holds every variable declared so far, with ``shape``'s
-        domains.  ``inline`` writes the tail in place among the stable rows,
-        for a model that will not grow (see :func:`encode`)."""
+        row indices family by family, in the order the families are written:
+        an iterator over each family's spans of stable rows, one per
+        advance, then its span of the tail.  The model holds every variable
+        declared so far, with ``shape``'s domains.  ``inline`` writes the
+        tail in place among the stable rows, for a model that will not grow
+        (see :func:`encode`)."""
         prev, m = self.shape, self.model
         if prev is None:
             self.t0 = self.k0 = 1
@@ -610,18 +614,18 @@ class Encoder:
         self.set_add = m.add if self._copies_final(shape) else self.tail
         self.set_t0 = self.t0 if final_before else 1
         tail_spans = []
-        for rows, emit in zip(self._family_rows, self._families()):
+        for spans, emit in zip(self._family_rows, self._families()):
             first, tail_first = len(m.constraints), len(tail)
             emit()
-            rows.extend(range(first, len(m.constraints)))
+            spans.append(range(first, len(m.constraints)))
             tail_spans.append((tail_first, len(tail)))
         n_stable = len(m.constraints)
-        order: list[int] = []
-        for rows, (first, end) in zip(self._family_rows, tail_spans):
-            order += rows
-            order += range(n_stable + first, n_stable + end)
+        order = []
+        for spans, (first, end) in zip(self._family_rows, tail_spans):
+            order += spans
+            order.append(range(n_stable + first, n_stable + end))
         probe = CspModel(list(m.bool_names), list(m.int_decls), m.constraints + tail, m.objective)
-        return probe, n_stable, order
+        return probe, n_stable, itertools.chain.from_iterable(order)
 
 
 @acyclic

@@ -33,32 +33,33 @@ while no woken row waits, so a bound found at the root reaches its
 neighbours before the sweep goes on.  A row waiting in either queue, or
 running, is not queued again; a row that changed a bound and is not yet
 entailed goes back to the queue once it has run.  A row found entailed
-sleeps on the trail: nothing wakes it or runs it until search undoes the
-trail below the point where it fell asleep.  The fixpoint does not depend
-on this order; the trail's order, and so which reasons analysis reads and
-the nogoods it learns, does.
+sleeps: nothing wakes it or runs it until search undoes the trail below
+the point where it fell asleep, or, when it fell asleep at the root, until
+the next load.  The fixpoint does not depend on this order; the trail's
+order, and so which reasons analysis reads and the nogoods it learns, does.
 
 Search is conflict-driven, as in lazy clause generation.  A node is a
 decision: the next open variable, in a static order that reads no variable
 names (first the Booleans, those watched by the most rows first, ties in id
 order, then the integers in declaration order, those in the objective
 last), gets ``x <= mid``, the lower half of its domain, so a Boolean tries
-false first.  Above the root, every trail entry records its reason, a
-reference to the clause that forced it (None for a decision), and the
-previous entry on the same side of the same variable; no explanation is
-built while propagating.  On a conflict, analysis reads the bounds at any
-trail position back from these chains, rebuilds the explanation of each
-entry it resolves from the clause (the other literals, all false, and a
-refuted linear half; or, for a linear tightening, the other terms of the
-half) and stops at the first unique implication point of the current
-level.  The learned nogood, a clause over bound literals with root facts
-left out, is added as a one-clause row; search backjumps to the level at
-which it is unit, and propagation asserts it, so the other side of a
-decision is only ever reached that way.  Learned rows last, like the
-bound rows of branch and bound, until the next :meth:`Engine.load`: a
-bound row only tightens, so each improvement backjumps to the root it
-reached and keeps every learned row.  Names are labels for the text form
-only.
+false first.  The trail is the undo log of the levels above the root: the
+root, which nothing undoes, writes no entry, as in a SAT solver's level 0.
+Every trail entry records its reason, a reference to the clause that
+forced it (None for a decision), and the previous entry on the same side
+of the same variable; no explanation is built while propagating.  On a
+conflict, analysis reads the bounds at any trail position back from these
+chains, rebuilds the explanation of each entry it resolves from the clause
+(the other literals, all false, and a refuted linear half; or, for a
+linear tightening, the other terms of the half) and stops at the first
+unique implication point of the current level.  The learned nogood, a
+clause over bound literals with root facts left out, is added as a
+one-clause row; search backjumps to the level at which it is unit, and
+propagation asserts it, so the other side of a decision is only ever
+reached that way.  Learned rows last, like the bound rows of branch and
+bound, until the next :meth:`Engine.load`: a bound row only tightens, so
+each improvement backjumps to the root it reached and keeps every learned
+row.  Names are labels for the text form only.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ import time
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .cpmodel import (
     BOOL,
@@ -216,27 +217,29 @@ class Engine:
     ``ge``, else ``x <= k``.  A row is a tuple of clauses ``(lits, body)``:
     the bound literals ``lits``, or ``body`` when it is not None, a linear
     body of halves ``(terms, const)``, each ``sum(c * x) <= const``, one
-    for ``<=`` and two for ``=``.  ``shared`` holds the one tuple for each
-    distinct bound literal, term pair and terms tuple of compiled rows.
+    for ``<=`` and two for ``=``.
     :meth:`propagate` runs every clause itself and returns False on a
     conflict, leaving the clause that failed in ``failed``;
     :meth:`_prop_lin_le` tightens the halves of a body and reports a
-    refuted one, and only :meth:`_force` tightens a bound and pushes a
-    trail entry; it takes open literals only, so it never fails.
+    refuted one, and only :meth:`_force` tightens a bound; it takes open
+    literals only, so it never fails, and it counts each change in
+    ``changes``.
 
     ``queue`` holds woken rows, run first and oldest first; ``pending``
     holds the root sweep, run from its end.  ``queued[idx]`` is set while
-    row ``idx`` waits in either, runs, or sleeps.  The trail is the one
-    undo log, of two kinds of entry: a bound change, and the int ``idx`` of
-    a row found entailed, which sleeps until :meth:`_undo_to` cuts the
-    trail below its entry.  A bound change is ``(uid, ge, old bound)``
-    while no decision is on the stack; above the root it is ``(uid, ge,
-    old bound, reason, prev)``, where ``reason`` is the clause that forced
-    it (None for a decision) and ``prev`` the position of the previous
-    such entry on the same side of the variable, -1 when that side last
-    changed at the root; ``lo_at`` and ``hi_at`` hold each variable's
-    latest one.  ``decisions`` holds the trail position of each decision,
-    so the decision level of a position is the number at or below it.
+    row ``idx`` waits in either, runs, or sleeps.  The trail is the undo
+    log of the levels above the root, of two kinds of entry: a bound
+    change ``(uid, ge, old bound, reason, prev)``, where ``reason`` is the
+    clause that forced it (None for a decision) and ``prev`` the position
+    of the previous such entry on the same side of the variable, -1 when
+    that side last changed at the root; and the int ``idx`` of a row found
+    entailed, which sleeps until :meth:`_undo_to` cuts the trail below its
+    entry.  ``lo_at`` and ``hi_at`` hold each variable's latest entry.
+    Nothing undoes the root, so it writes no trail entry: a bound it sets
+    lasts until the next :meth:`load`, and so does a row it finds
+    entailed, which stays marked queued with no id on the trail.
+    ``decisions`` holds the trail position of each decision, so the
+    decision level of a position is the number at or below it.
 
     A node is a decision.  :meth:`_analyse` derives a 1-UIP nogood from a
     conflict, and :meth:`_learn` backjumps and appends it to ``cons`` as a
@@ -253,8 +256,9 @@ class Engine:
         self.watchers: list[list[int]] = []
         self.cons: list[tuple] = []
         self.n_stable = 0
-        self.trail: list = []  # bound changes, or a sleeping row's idx
-        self.lo_at: list[int] = []  # by uid, the latest entry above the root, or -1
+        self.trail: list = []  # above the root: bound changes, or a sleeping row's idx
+        self.changes = 0  # bound changes so far
+        self.lo_at: list[int] = []  # by uid, the latest trail entry, or -1
         self.hi_at: list[int] = []
         self.decisions: list[int] = []  # the trail position of each decision
         self.failed: Optional[tuple] = None  # the clause of the last conflict
@@ -263,19 +267,19 @@ class Engine:
         self.pending: list[int] = []  # the root sweep, from its end
         self.nodes = 0
         self.order: Optional[list[int]] = None
-        self.shared: dict[tuple, tuple] = {}
         if model is not None:
             self.load(model, len(model.constraints))
 
     def load(
-        self, model: CspModel, n_stable: int, queue_order: Optional[list[int]] = None
+        self, model: CspModel, n_stable: int, queue_order: Optional[Iterable[int]] = None
     ) -> None:
         """Take on ``model``, whose first ``n_stable`` rows extend the stable
         rows compiled so far; every row added since the last load (its tail,
         bound rows and learned rows) goes, and the model's other rows form
-        the new tail.  Every bound restarts from the model's domains and
-        every row is queued, in ``queue_order`` (row indices, the last one
-        propagated first; model order by default)."""
+        the new tail.  Every bound restarts from the model's domains, so the
+        root facts and the trail go, and every row is queued, in
+        ``queue_order`` (row indices, read once into the root sweep, the
+        last one propagated first; model order by default)."""
         cut = self.n_stable
         watchers = self.watchers
         for watch in watchers:  # each watch list is in row order
@@ -295,12 +299,13 @@ class Engine:
         for uid, (_, d_lo, d_hi) in zip(self.int_uid, model.int_decls):
             lo[uid], hi[uid] = d_lo, d_hi
         self.n_stable = n_stable
-        self._compile(itertools.islice(model.constraints, cut, None))
+        # the last model's tail rows and trail go before the new rows compile
         self.model = model
+        self.trail, self.decisions = [], []
+        self._compile(itertools.islice(model.constraints, cut, None))
         self.queue.clear()
         self.pending = list(range(len(self.cons)) if queue_order is None else queue_order)
         self.queued = [True] * len(self.cons)
-        self.trail, self.decisions = [], []
         self.lo_at, self.hi_at = [-1] * len(lo), [-1] * len(lo)
         self.nodes = 0
         self.order = None
@@ -320,9 +325,11 @@ class Engine:
     def _compile(self, rows) -> None:
         """Compile each of ``rows`` to a tuple of clauses, append it to
         ``cons`` and to the watch list of each variable it reads, once; the
-        caller queues it.  Every tuple built here is replaced by the engine's
-        one tuple equal to it: share(x, x) for each x of xs is map(share, xs, xs)."""
-        share = self.shared.setdefault
+        caller queues it.  Every tuple built here, a clause's literals among
+        them, is replaced by the first tuple equal to it that this call
+        built: share(x, x) for each x of xs is map(share, xs, xs).  The table
+        lasts one call, so the engine keeps none."""
+        share = {}.setdefault
         bool_uid, int_uid = self.bool_uid, self.int_uid
         cons, watchers, idx = self.cons, self.watchers, len(self.cons)
         for con in rows:
@@ -355,7 +362,7 @@ class Engine:
                     neg = tuple(map(share, pairs, pairs))
                     body += ((share(neg, neg), -const),)
                 clause = tuple(map(share, lits, lits))
-                row = ((clause, body),)
+                row = ((share(clause, clause), body),)
                 uids = [u for u, _, _ in clause] + [u for _, u in terms]
             else:
                 # a clause's literals, or the atoms a1 ... an of lit <-> a1 and
@@ -374,7 +381,7 @@ class Engine:
                         lits.append((uid, False, k))
                 lits = tuple(map(share, lits, lits))
                 if kind is Clause:
-                    row = ((lits, None),)
+                    row = ((share(lits, lits), None),)
                 else:
                     var, val = con[0]
                     lit = (bool_uid[var], True, 1) if val else (bool_uid[var], False, 0)
@@ -396,23 +403,24 @@ class Engine:
         """Tighten ``x >= k`` when ``ge``, else ``x <= k``: the one place a
         bound changes.  Every caller passes an open literal, ``lo < k <= hi``
         for ``x >= k`` and ``lo <= k < hi`` for ``x <= k``, so the bound
-        tightens and cannot conflict.  The old bound goes on the trail, with
-        ``reason`` (the clause that forced it, None for a decision) and the
-        side's previous entry when a decision is on the stack, and the rows
-        that watch ``x`` wake."""
-        lo, hi, trail = self.lo, self.hi, self.trail
+        tightens and cannot conflict.  The change is counted, and the rows
+        that watch ``x`` wake.  While a decision is on the stack, the old
+        bound goes on the trail with ``reason`` (the clause that forced it,
+        None for a decision) and the side's previous entry; at the root,
+        which nothing undoes, no entry is written."""
+        lo, hi = self.lo, self.hi
         if ge:
             old = lo[uid]
             lo[uid] = k
         else:
             old = hi[uid]
             hi[uid] = k
+        self.changes += 1
         if self.decisions:
+            trail = self.trail
             at = self.lo_at if ge else self.hi_at
             trail.append((uid, ge, old, reason, at[uid]))
             at[uid] = len(trail) - 1
-        else:
-            trail.append((uid, ge, old))
         queued, queue = self.queued, self.queue
         for idx in self.watchers[uid]:
             if not queued[idx]:
@@ -458,10 +466,12 @@ class Engine:
         """Run woken rows, then the root sweep, to a fixpoint, each clause
         ``lits or body`` of a row in this loop; False on a conflict: a clause
         whose literals are all false and whose body, if any, has a refuted
-        half.  That clause is left in ``failed``."""
+        half.  That clause is left in ``failed``.  A row found entailed
+        sleeps: above the root its id goes on the trail, and at the root,
+        which nothing undoes, it just stays marked queued."""
         lo, hi, force, prop_lin_le = self.lo, self.hi, self._force, self._prop_lin_le
         queue, pending, queued, cons = self.queue, self.pending, self.queued, self.cons
-        trail = self.trail
+        asleep = self.trail if self.decisions else None
         conflict = None
         while True:
             if queue:
@@ -472,7 +482,7 @@ class Engine:
                 return True
             # still marked queued while it runs, so its own bound changes do
             # not wake it; it goes back to the queue only if it may force more
-            mark = len(trail)
+            mark = self.changes
             done = True  # every clause holds under current bounds
             for clause in cons[idx]:
                 lits, body = clause
@@ -524,9 +534,10 @@ class Engine:
                 queue.clear()
                 pending.clear()
                 return False
-            if done:  # marked queued, an entailed row sleeps until _undo_to
-                trail.append(idx)
-            elif len(trail) > mark:
+            if done:  # marked queued, an entailed row sleeps
+                if asleep is not None:
+                    asleep.append(idx)
+            elif self.changes > mark:
                 queue.append(idx)
             else:
                 queued[idx] = False

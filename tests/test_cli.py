@@ -206,6 +206,23 @@ def test_resource_limit_names_the_budget(tmp_path, capsys):
     assert (record["verdict"], record["limit_reason"]) == ("found", None)
 
 
+@pytest.mark.parametrize("command, name", [("solve", "find_plan"), ("encode", "encode")])
+def test_running_out_of_memory_is_a_resource_limit(tmp_path, capsys, monkeypatch, command, name):
+    """Exit 2 with one line, not a traceback and exit 1, which solve uses
+    for stage counts exhausted."""
+    domain = tmp_path / "g.json"
+    assert run(["gen", "--type", "I", "--copies", "1", "--out", domain]) == 0
+    capsys.readouterr()
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"tqaplan.cli.{name}", out_of_memory)
+    assert run([command, domain]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "resource limit reached: memory\n")
+
+
 def test_bench_bad_flag_value_is_an_input_error(tmp_path, capsys):
     """A bad value exits before any instance is solved: one error line, no
     per-instance line and no CSV; a bad range names its flag, and a refused

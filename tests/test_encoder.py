@@ -92,7 +92,8 @@ def test_flow_init_goal_rows_force_steady_truth():
     model = enc.advance(shape, inline=True)[0]
     tags = ((0, 0), (0, 1), (1, 0), (1, 1))
     flows = [enc.flow_id[("p", 1, v, w)] for v, w in tags]
-    rows = [model.constraints[i] for i in enc._family_rows[0]]  # the flow family
+    (flow_span,) = enc._family_rows[0]  # the flow family's rows, from one advance
+    rows = [model.constraints[i] for i in flow_span]
     rows = [con for con in rows if _over_only(con, set(flows))]
     assert len(rows) == 4  # the initial pair, the two zero flows, the goal pair
     bools = [False] * model.n_bools
@@ -113,8 +114,8 @@ def test_no_fluents_no_flow_rows():
     d = Domain((), (Skill("a", SkillKind.TIMER),))
     enc = Encoder()
     model = enc.advance(instantiate(d, 2, 1, 4), inline=True)[0]
-    flow_rows = enc._family_rows[0]  # the flow family is written first
-    assert flow_rows == [] and model.constraints
+    (flow_span,) = enc._family_rows[0]  # the flow family is written first
+    assert not flow_span and model.constraints
 
 
 def test_duration_forces_boundary_gap():

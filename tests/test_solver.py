@@ -434,17 +434,34 @@ def _false(engine, lit) -> bool:
     return engine.hi[uid] < k if ge else engine.lo[uid] > k
 
 
+def _entailed(engine, row) -> bool:
+    """Every value left in the domains satisfies each clause of ``row``: a
+    literal holds, or every half of the body does at its greatest value."""
+    lo, hi = engine.lo, engine.hi
+    for lits, body in row:
+        if any(lo[uid] >= k if ge else hi[uid] <= k for uid, ge, k in lits):
+            continue
+        if body is None:
+            return False
+        for terms, const in body:
+            if sum(c * (hi[uid] if c > 0 else lo[uid]) for c, uid in terms) > const:
+                return False
+    return True
+
+
 class _AuditedEngine(Engine):
     """Every bound change tightens an open literal.  After every propagation,
     at the root and at every node, conflicts included: every domain is
     non-empty, a row is marked queued exactly when it sleeps, it sleeps
-    once, no row that slept when propagation began has run, and no row that
-    slept at the root has run.  After
-    every cut of the trail, both queues are empty and a row is marked queued
-    exactly when its id remains on the trail.  Each learned clause is false
-    before the backjump and unit after it: one literal open, the rest false.
-    ``learned`` holds each one with the bound rows of its search.  It loads
-    one model."""
+    once, and no row that slept when propagation began has run.  A row
+    sleeps either at the root, marked queued with no id on the trail, or
+    above it, with its id on the trail.  After a propagation at the root
+    the trail is empty, every row that slept at the root still sleeps, and
+    every row that fell asleep there is entailed.  After every cut of the
+    trail, both queues are empty and a row is marked queued exactly when it
+    sleeps.  Each learned clause is false before the backjump and unit after
+    it: one literal open, the rest false.  ``learned`` holds each one with
+    the bound rows of its search.  It loads one model."""
 
     def __init__(self, model):
         super().__init__()
@@ -457,24 +474,32 @@ class _AuditedEngine(Engine):
         assert lo < k <= hi if ge else lo <= k < hi, (uid, ge, k, lo, hi)
         super()._force(uid, ge, k, reason)
 
+    def _check_sleepers(self):
+        asleep = _asleep(self)
+        assert len(set(asleep)) == len(asleep)
+        assert not self.asleep_at_root & set(asleep)
+        assert {i for i, q in enumerate(self.queued) if q} == self.asleep_at_root | set(asleep)
+
     def _undo_to(self, mark):
         super()._undo_to(mark)
         assert not self.queue and not self.pending
-        assert [i for i, q in enumerate(self.queued) if q] == sorted(_asleep(self))
+        self._check_sleepers()
 
     def propagate(self):
-        asleep_before = set(_asleep(self))
+        asleep_before = self.asleep_at_root | set(_asleep(self))
         self.cons.ran = []
         ok = super().propagate()
         assert all(map(int.__le__, self.lo, self.hi))
-        asleep = _asleep(self)
         assert not self.queue and not self.pending
-        assert len(set(asleep)) == len(asleep)
-        assert [i for i, q in enumerate(self.queued) if q] == sorted(asleep)
+        if not self.decisions:
+            assert self.trail == []
+            asleep = {i for i, q in enumerate(self.queued) if q}
+            assert self.asleep_at_root <= asleep
+            rows = list(self.cons)  # read past _RowReads, which counts runs
+            assert all(_entailed(self, rows[i]) for i in asleep - self.asleep_at_root)
+            self.asleep_at_root = asleep
+        self._check_sleepers()
         assert not asleep_before & set(self.cons.ran)
-        assert not self.asleep_at_root & set(self.cons.ran)
-        root = self.trail[: self.decisions[0]] if self.decisions else self.trail
-        self.asleep_at_root.update(entry for entry in root if type(entry) is int)
         return ok
 
     def _learn(self, lits, level):
@@ -495,7 +520,22 @@ def test_a_row_that_forces_its_own_variable_runs_once_and_sleeps_once():
     m = CspModel(bool_names=["x"], constraints=[Clause((Lit(0),))])
     engine = _AuditedEngine(m)
     assert engine.propagate()
-    assert engine.cons.ran == [0] and engine.trail == [(0, True, 0), 0]
+    assert engine.cons.ran == [0] and engine.trail == [] and engine.queued == [True]
+
+
+def test_a_row_that_tightens_what_it_read_runs_again_at_the_root():
+    # 2x - y = 0 over x in 0..10, y in 1..10: its first half caps x at 5,
+    # its second half then raises x to 1, which the first half has already
+    # read, so only a second run raises y to 2; the root writes no trail
+    # entry, so the engine counts bound changes to know the row ran again
+    m = CspModel()
+    x, y = m.new_int("x", 0, 10), m.new_int("y", 1, 10)
+    m.add(Lin((Term(2, INT, x), Term(-1, INT, y)), EQ, 0))
+    engine = _AuditedEngine(m)
+    assert engine.propagate()
+    ux, uy = engine.int_uid[x], engine.int_uid[y]
+    assert (engine.lo[ux], engine.hi[ux], engine.lo[uy], engine.hi[uy]) == (1, 5, 2, 10)
+    assert engine.cons.ran == [0, 0, 0] and engine.trail == []
 
 
 def test_rows_sleep_once_and_never_run_asleep():
@@ -511,23 +551,23 @@ def test_rows_sleep_once_and_never_run_asleep():
 
 
 
-# sha256 over the compiled rows, watch lists and shared-tuple count of
-# Engine(m) on four models and of each probe of two grown engines, and the
-# rows each grown engine's search ran, computed on the encoder that leaves
-# b[0] = 0 and b[N] <= h to the declared domains, parks an unused copy's l
-# at 1 and writes none of the rows that test_encoder._left_out_rows lists;
-# the rows run are those of the conflict-driven search, whose branch and
-# bound resumes from the root it reached
-COMPILED_ROWS_DIGEST = "a073a4d66548c962d5b3a0a5846797e75b7c0cdf007891610e8a738250209f13"
+# sha256 over the compiled rows and watch lists of Engine(m) on four models
+# and of each probe of two grown engines, and the rows each grown engine's
+# search ran, computed on the encoder that leaves b[0] = 0 and b[N] <= h to
+# the declared domains, parks an unused copy's l at 1 and writes none of the
+# rows that test_encoder._left_out_rows lists; the rows run are those of the
+# conflict-driven search, whose branch and bound resumes from the root it
+# reached
+COMPILED_ROWS_DIGEST = "49340c9e8c39448040f4b06de20d98eb8cc0a6a8e5749d5f09c0148893462411"
 
 
 def test_compiled_rows_are_pinned():
     """The engine compiles every row to the same clauses, watches the same
-    variables, shares the same tuples and runs the same rows in search."""
+    variables and runs the same rows in search."""
     digest = hashlib.sha256()
 
     def pin(engine: Engine) -> None:
-        digest.update(repr((engine.cons, engine.watchers, len(engine.shared))).encode())
+        digest.update(repr((engine.cons, engine.watchers)).encode())
 
     for spec, n, cap, horizon, objective in [
         (("I", 50, None), 4, 1, None, "none"),
